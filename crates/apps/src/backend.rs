@@ -202,7 +202,7 @@ impl FsBackend for Pfs {
     }
 
     fn node_loads(&self) -> Vec<NodeLoad> {
-        Pfs::node_loads(self)
+        Pfs::node_loads(self).to_vec()
     }
 
     fn submit_drain(
@@ -257,7 +257,7 @@ impl FsBackend for Ppfs {
     }
 
     fn node_loads(&self) -> Vec<NodeLoad> {
-        Ppfs::node_loads(self)
+        Ppfs::node_loads(self).to_vec()
     }
 
     fn submit_drain(
@@ -316,7 +316,7 @@ impl FsBackend for Cio {
     }
 
     fn node_loads(&self) -> Vec<NodeLoad> {
-        Cio::node_loads(self)
+        Cio::node_loads(self).to_vec()
     }
 
     fn cio_stats(&self) -> Option<CioStats> {

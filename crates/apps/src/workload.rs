@@ -12,8 +12,7 @@ use paragon_sim::engine::IoService;
 use paragon_sim::mesh::Mesh;
 use paragon_sim::program::{IoRequest, NodeProgram, ScriptOp, ScriptProgram};
 use paragon_sim::{
-    Engine, EnginePerf, EngineReport, FaultSchedule, MachineConfig, NodeId, ShardedEngine,
-    SimDuration, SimTime,
+    Engine, EnginePerf, EngineReport, FaultSchedule, MachineConfig, NodeId, SimDuration, SimTime,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,46 +95,6 @@ fn run_engine<S: IoService>(
         machine.compute_nodes
     );
     let mesh = Mesh::for_nodes(machine.compute_nodes, machine.io_nodes);
-    // `--shards N` / `SIO_SHARDS` routes the run through the region-sharded
-    // PDES front end; traces, reports, and perf counters are byte-identical
-    // to the serial engine for every shard count (see `paragon_sim::pdes`).
-    let shards = paragon_sim::configured_shards();
-    if shards > 1 {
-        let programs: Vec<Box<dyn NodeProgram + Send>> = workload
-            .scripts
-            .iter()
-            .map(|s| Box::new(ScriptProgram::new(s.clone())) as Box<dyn NodeProgram + Send>)
-            .collect();
-        let mut engine = ShardedEngine::new(mesh, machine.comm, programs, service, shards);
-        engine.set_watchdog(WATCHDOG_DEADLINE);
-        for g in &workload.groups {
-            engine.add_group(g.clone());
-        }
-        let report = match stop_at {
-            Some(t) => engine.run_until(t),
-            None => {
-                let report = engine.run();
-                assert!(
-                    report.clean(),
-                    "workload '{}' stuck; blocked nodes: {:?}; watchdog: {:?}",
-                    workload.label,
-                    report.blocked,
-                    report.hang
-                );
-                report
-            }
-        };
-        // Engine-phase wall split: how much host time went to parallel
-        // pre-stepping vs committing windows. This is the one intentionally
-        // non-deterministic perf output (wall clock, not event counts); the
-        // phase *names* are identical in both branches so `repro --perf`
-        // output keeps its shape at every shard count.
-        let (pre_ns, commit_ns) = engine.phase_wall_ns();
-        perf::phase_ns("engine/pre_step", pre_ns);
-        perf::phase_ns("engine/commit", commit_ns);
-        let engine_perf = engine.perf();
-        return (report, engine.into_service(), engine_perf);
-    }
     let programs: Vec<Box<dyn NodeProgram>> = workload
         .scripts
         .iter()
@@ -146,7 +105,7 @@ fn run_engine<S: IoService>(
     for g in &workload.groups {
         engine.add_group(g.clone());
     }
-    let run_start = std::time::Instant::now();
+    let phase = perf::phase("engine");
     let report = match stop_at {
         // A crashed run legitimately ends with blocked nodes: they died.
         Some(t) => engine.run_until(t),
@@ -162,11 +121,7 @@ fn run_engine<S: IoService>(
             report
         }
     };
-    // The serial engine is all commit loop — no pre-step phase exists.
-    // Recording 0/total under the same names keeps the `repro --perf`
-    // phase table's shape shard-count-invariant.
-    perf::phase_ns("engine/pre_step", 0);
-    perf::phase_ns("engine/commit", run_start.elapsed().as_nanos() as u64);
+    drop(phase);
     let engine_perf = engine.perf();
     (report, engine.into_service(), engine_perf)
 }

@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, Criterion, Throughput};
 use paragon_sim::mesh::{CommCosts, Mesh};
-use paragon_sim::program::{NodeProgram, Resume, ScriptOp, ScriptProgram, Step};
-use paragon_sim::{Engine, IoService, MachineConfig, ShardedEngine, SimDuration};
+use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
+use paragon_sim::{Engine, IoService, MachineConfig, SimDuration};
 use sio_core::classify::PatternClassifier;
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::predict::{MarkovPredictor, Predictor};
@@ -68,106 +68,6 @@ fn engine_dispatch(c: &mut Criterion) {
             black_box(report.events)
         })
     });
-    group.finish();
-}
-
-/// A node program whose transitions cost real host time: each step runs a
-/// deterministic mixing spin before yielding. This is the workload shape
-/// the sharded engine parallelizes — application state machines with
-/// nontrivial per-step logic — as opposed to pure script replay, whose
-/// cost is all in the (inherently serial) commit loop.
-struct SpinProgram {
-    steps: u32,
-    state: u64,
-}
-
-impl NodeProgram for SpinProgram {
-    fn step(&mut self, _node: u32, _resume: Resume) -> Step {
-        if self.steps == 0 {
-            return Step::Done;
-        }
-        self.steps -= 1;
-        let mut h = self.state;
-        for _ in 0..400 {
-            h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29) ^ 0xBF58_476D_1CE4_E5B9;
-        }
-        self.state = h;
-        if self.steps.is_multiple_of(50) {
-            Step::Barrier(0)
-        } else {
-            Step::Compute(SimDuration(5_000 + (h % 10_000)))
-        }
-    }
-}
-
-fn pdes_scaling(c: &mut Criterion) {
-    // 64 nodes × 400 spin-transitions, barrier every 50 steps: the same
-    // deterministic run at 1 shard and at 8 shards. The two bench ids give
-    // the trajectory file a scaling ratio to gate on (see
-    // scripts/bench_sim.sh — the ratio is asserted only on hosts with
-    // enough cores for 8 workers to exist).
-    let mut group = c.benchmark_group("engine");
-    group.throughput(Throughput::Elements(64 * 400));
-    for shards in [1u32, 8] {
-        group.bench_function(&format!("pdes_{shards}shard"), |b| {
-            b.iter(|| {
-                let programs: Vec<Box<dyn NodeProgram + Send>> = (0..64u64)
-                    .map(|n| {
-                        Box::new(SpinProgram {
-                            steps: 400,
-                            state: n * 7919 + 1,
-                        }) as Box<dyn NodeProgram + Send>
-                    })
-                    .collect();
-                let mesh = Mesh::for_nodes(64, 4);
-                let mut engine =
-                    ShardedEngine::new(mesh, CommCosts::default(), programs, NullService, shards);
-                let report = engine.run();
-                assert!(report.clean());
-                black_box(report.events)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn commit_scaling(c: &mut Criterion) {
-    // The commit-bound complement of `pdes_scaling`: trivially cheap script
-    // transitions (replay shape — all cost is in popping, sequencing, and
-    // re-pushing events), 64 nodes × 600 computes with a barrier every 120.
-    // Nearly every window is closed, so 8 shards exercise the batched
-    // per-lane splice path where 1 shard runs the serial pop loop. The
-    // commit_{1,8}shard ratio is the shard-local commit lever's own gate
-    // (asserted in scripts/bench_sim.sh only on ≥8-core hosts).
-    let mut group = c.benchmark_group("engine");
-    group.throughput(Throughput::Elements(64 * 600));
-    let scripts = || -> Vec<Box<dyn NodeProgram + Send>> {
-        (0..64u64)
-            .map(|n| {
-                let mut ops = Vec::with_capacity(605);
-                for k in 0..600u64 {
-                    let jitter = (n * 2_654_435_761 + k * 40_503) % 90;
-                    ops.push(ScriptOp::Compute(SimDuration::from_micros(1 + jitter)));
-                    if (k + 1).is_multiple_of(120) {
-                        ops.push(ScriptOp::Barrier(0));
-                    }
-                }
-                Box::new(ScriptProgram::new(ops)) as Box<dyn NodeProgram + Send>
-            })
-            .collect()
-    };
-    for shards in [1u32, 8] {
-        group.bench_function(&format!("commit_{shards}shard"), |b| {
-            b.iter(|| {
-                let mesh = Mesh::for_nodes(64, 4);
-                let mut engine =
-                    ShardedEngine::new(mesh, CommCosts::default(), scripts(), NullService, shards);
-                let report = engine.run();
-                assert!(report.clean());
-                black_box(report.events)
-            })
-        });
-    }
     group.finish();
 }
 
@@ -387,8 +287,6 @@ fn burst_log_drain(c: &mut Criterion) {
 criterion_group!(
     micro,
     engine_dispatch,
-    pdes_scaling,
-    commit_scaling,
     stripe_mapping,
     block_cache,
     dirty_buffer,

@@ -321,7 +321,7 @@ impl Cio {
     }
 
     /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
+    pub fn node_loads(&self) -> &[NodeLoad] {
         self.pump.node_loads()
     }
 
@@ -1399,7 +1399,7 @@ mod tests {
         assert_eq!(engine.service().segments_completed(), 2);
         let loads = engine.service().node_loads();
         assert_eq!(loads.len(), 2);
-        for l in &loads {
+        for l in loads {
             assert_eq!(l.write_reqs, 1, "one aggregated request per node");
             assert_eq!(l.write_bytes, 64 * 1024);
         }

@@ -109,16 +109,6 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Record an already-measured wall share under a phase name (e.g. the
-/// sharded engine's internal pre-step/commit split, measured where the
-/// phases actually run). Accumulates like [`phase`]; a no-op when
-/// collection is disabled.
-pub fn phase_ns(name: &str, ns: u64) {
-    if enabled() {
-        PHASES.lock().unwrap().push((name.to_string(), ns));
-    }
-}
-
 /// A point-in-time copy of the aggregate counters.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PerfSnapshot {

@@ -7,13 +7,6 @@
 //! per-node buffers back into exact capture order, so the frozen trace is
 //! byte-identical to what the old single-buffer capture produced.
 //!
-//! The per-node buffers double as the PDES trace lanes: under the sharded
-//! engine each lane is appended to only by its owning node's events (all
-//! tracing happens in the serial commit phase, so the global sequence
-//! stamps are allocated in serial order at every shard count), and the
-//! same seq-scatter merge reassembles the shard lanes deterministically —
-//! no shard-aware merge step exists or is needed.
-//!
 //! [`Tracer`] is the legacy shared handle, kept for genuinely multi-threaded
 //! capture (the `std::fs` instrumentation shim): it is cheap to clone and
 //! every clone feeds one locked buffer.

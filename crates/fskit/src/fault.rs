@@ -50,13 +50,10 @@ impl FaultRouter {
     }
 
     /// Arm one timer per scheduled event, allocating ids from the backend's
-    /// dynamic timer lane in schedule order. Fault delivery mutates whatever
-    /// domain the event targets — boundary traffic under the PDES ownership
-    /// contract, which is safe because timers only ever fire in the serial
-    /// commit phase.
-    pub fn arm_all(&mut self, lanes: &mut TimerLanes, sched: &mut Sched) {
+    /// timer allocator in schedule order.
+    pub fn arm_all(&mut self, timers: &mut TimerLanes, sched: &mut Sched) {
         for ev in self.schedule.clone().events() {
-            let id = lanes.alloc();
+            let id = timers.alloc();
             self.timers.insert(id, *ev);
             sched.timer(ev.at, id);
         }

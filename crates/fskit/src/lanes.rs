@@ -1,39 +1,22 @@
-//! Timer-id lanes: the backend-wide timer-id space, split into fixed
-//! per-I/O-node lanes plus a dynamic lane, replacing the raw `ids: &mut u64`
-//! counter the substrate used to thread through every arm site.
+//! Timer-id lanes: a backend's timer-id space, split into fixed
+//! per-I/O-node ids, optional reserved singletons, and a dynamic lane.
 //!
-//! The id space is partitioned deterministically:
+//! * **Node lane** — ids `0..node_lanes`, one per I/O node: completion
+//!   ticks for node `io` always fire as timer `io`.
+//! * **Reserved lane** — `node_lanes..node_lanes + reserved`, backend-owned
+//!   singletons fixed at construction (PPFS parks its periodic flush timer
+//!   here).
+//! * **Dynamic lane** — everything above, handed out by
+//!   [`TimerLanes::alloc`] in arm order: fault deliveries, backoff retries,
+//!   metadata deadlines, deferred completions.
 //!
-//! * **Node lane** — ids `0..node_lanes` are owned one-per-I/O-node
-//!   (timer id = node index): completion ticks for node `io` always fire
-//!   as timer `io`. These ids are fixed at construction, so they are
-//!   shard-count-invariant by construction — each I/O node's lane belongs
-//!   to whichever PDES shard owns that node's region.
-//! * **Reserved lane** — `node_lanes..node_lanes + reserved` are
-//!   backend-owned singletons allocated at setup (PPFS parks its periodic
-//!   flush timer here). Also fixed at construction.
-//! * **Dynamic lane** — everything from `node_lanes + reserved` up,
-//!   allocated by [`TimerLanes::alloc`] in arm order: fault deliveries,
-//!   backoff retries, metadata deadlines, deferred completions.
-//!
-//! The dynamic lane is a single global sequence on purpose: timers are
-//! only ever armed from service code, and under the sharded engine
-//! (`paragon_sim::pdes`) services run exclusively in the coordinator's
-//! serial commit phase, in exact global `(time, seq)` event order — never
-//! concurrently with shard pre-stepping. Allocation order is therefore
-//! identical for every shard count, which keeps the engine's FIFO
-//! tie-breaking on timer ids — and with it every golden digest —
-//! byte-identical at `--shards 1/2/8`. A per-shard split of the dynamic
-//! lane would buy no parallelism (there is no concurrent allocator to
-//! contend with) at the cost of a remapping step.
-//!
-//! The `blog` burst-buffer tier allocates from a disjoint high-bit
-//! namespace (`BLOG_TIMER_BIT | id`) on top of its inner backend's lanes;
-//! that namespace is orthogonal to this one and unaffected by sharding
-//! for the same reason.
+//! Contract: dynamic ids are allocated in arm order, one apart — the same
+//! sequence a plain `let id = n; n += 1` counter produces. The `blog` tier
+//! allocates its own timers from a disjoint high-bit namespace
+//! (`BLOG_TIMER_BIT | id`) on top of its inner backend's ids.
 
 /// The timer-id allocator for one backend instance. See the module docs
-/// for the lane layout and the shard-invariance argument.
+/// for the lane layout.
 #[derive(Debug, Clone)]
 pub struct TimerLanes {
     /// Ids below this are per-I/O-node completion timers.
@@ -65,8 +48,7 @@ impl TimerLanes {
         id < self.node_lanes
     }
 
-    /// Allocate the next dynamic timer id. Service code only — see the
-    /// module docs for why a single sequence stays shard-count-invariant.
+    /// Allocate the next dynamic timer id.
     pub fn alloc(&mut self) -> u64 {
         let id = self.next;
         self.next += 1;

@@ -26,22 +26,17 @@
 //!   retry/replay for PPFS);
 //! * [`fault`] — [`FaultRouter`], timer-based delivery of a
 //!   [`paragon_sim::FaultSchedule`];
-//! * [`lanes`] — [`TimerLanes`], the partitioned timer-id space (fixed
-//!   per-I/O-node lanes, reserved singletons, one dynamic lane);
+//! * [`lanes`] — [`TimerLanes`], the backend's timer-id allocator;
 //! * [`sync`] — [`SyncLedger`], parking/drain bookkeeping for `Sync`
 //!   commits;
 //! * [`recorder`] — [`TraceRecorder`], application-visible interval tracing
 //!   and completion plumbing shared by every verb handler.
 //!
 //! Determinism contract: every method that arms a timer takes the backend's
-//! [`TimerLanes`] allocator, which partitions the id space into fixed
-//! per-I/O-node lanes (timer id = node index — shard-count-invariant by
-//! construction), optional reserved singletons, and one dynamic lane
-//! allocated in serial-commit order. Id allocation order — and with it the
-//! engine's FIFO tie-breaking — is exactly what a hand-inlined
-//! implementation would produce, at every `--shards` count; see
-//! [`lanes`] for the invariance argument. The golden-trace suites pin
-//! this down byte-for-byte.
+//! [`TimerLanes`] allocator, which hands out ids in arm order, so id
+//! allocation order — and with it the engine's FIFO tie-breaking — is
+//! exactly what a hand-inlined implementation would produce. The
+//! golden-trace suites pin this down byte-for-byte.
 
 pub mod client;
 pub mod config;

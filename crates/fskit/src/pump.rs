@@ -15,17 +15,9 @@
 //!   recovery, and a full queue retries forever with capped backoff
 //!   (write-behind data has nowhere else to go).
 //!
-//! Each I/O node's simulator state and its accepted-request accounting
-//! live together in one `IoLane`, the unit of state a PDES shard owns:
-//! everything inside a lane is touched only through that node's events
-//! (shard-local), while buddy failover and stripe replay — the two places
-//! a segment *changes lanes* — are boundary traffic that only ever runs
-//! in the serial commit phase. Backoff retries stay on their lane.
-//!
 //! Timer ids are drawn from the backend's [`TimerLanes`] allocator so the
 //! id sequence — and the engine's FIFO tie-breaking on it — is
-//! byte-identical to a hand-inlined implementation at every shard count
-//! (see [`crate::lanes`] for the invariance argument).
+//! byte-identical to a hand-inlined implementation.
 
 use paragon_sim::engine::Sched;
 use paragon_sim::ionode::{Completion, IoNodeSim, RejectReason, SegmentReq, SubmitOutcome};
@@ -122,17 +114,9 @@ pub enum NodeTick {
 /// the segment ids allocated for them, in dispatch order.
 pub type StagedExtent = (Vec<(u32, SegmentReq)>, Vec<u64>);
 
-/// One I/O node's shard-owned state: the queue/array simulator and the
-/// accepted-request accounting for that node, grouped so everything a
-/// single node's events touch lives behind one index.
-struct IoLane {
-    sim: IoNodeSim,
-    load: NodeLoad,
-}
-
 /// The segment pump over a machine's I/O nodes.
 pub struct SegmentPump {
-    lanes: Vec<IoLane>,
+    ionodes: Vec<IoNodeSim>,
     policy: FailoverPolicy,
     retry_base: SimDuration,
     /// Completed-segment routing: segment id → owner (request token for
@@ -147,6 +131,8 @@ pub struct SegmentPump {
     /// Segments parked at a crashed node, resubmitted on recovery.
     replay: Vec<(u32, SegmentReq)>,
     stats: PumpStats,
+    /// Accepted-request accounting, indexed by I/O node.
+    loads: Vec<NodeLoad>,
 }
 
 impl SegmentPump {
@@ -156,14 +142,9 @@ impl SegmentPump {
         policy: FailoverPolicy,
         retry_base: SimDuration,
     ) -> SegmentPump {
+        let loads = vec![NodeLoad::default(); ionodes.len()];
         SegmentPump {
-            lanes: ionodes
-                .into_iter()
-                .map(|sim| IoLane {
-                    sim,
-                    load: NodeLoad::default(),
-                })
-                .collect(),
+            ionodes,
             policy,
             retry_base,
             seg_owner: FastMap::default(),
@@ -172,27 +153,28 @@ impl SegmentPump {
             retry_timers: FastMap::default(),
             replay: Vec::new(),
             stats: PumpStats::default(),
+            loads,
         }
     }
 
     /// Number of I/O nodes (timer ids below this are node timers).
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        self.ionodes.len()
     }
 
     /// Whether the pump drives any I/O nodes at all.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.ionodes.is_empty()
     }
 
     /// One I/O node (read-only).
     pub fn node(&self, io: u32) -> &IoNodeSim {
-        &self.lanes[io as usize].sim
+        &self.ionodes[io as usize]
     }
 
     /// Mutable access to one I/O node (fault injection, tuning).
     pub fn node_mut(&mut self, io: u32) -> &mut IoNodeSim {
-        &mut self.lanes[io as usize].sim
+        &mut self.ionodes[io as usize]
     }
 
     /// Pump counters.
@@ -200,13 +182,13 @@ impl SegmentPump {
         self.stats
     }
 
-    /// Accepted-request accounting per I/O node, in node order.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
-        self.lanes.iter().map(|l| l.load).collect()
+    /// Accepted-request accounting per I/O node.
+    pub fn node_loads(&self) -> &[NodeLoad] {
+        &self.loads
     }
 
     fn note_load(&mut self, io: u32, req: &SegmentReq) {
-        let l = &mut self.lanes[io as usize].load;
+        let l = &mut self.loads[io as usize];
         if req.write {
             l.write_reqs += 1;
             l.write_bytes += req.bytes;
@@ -304,7 +286,7 @@ impl SegmentPump {
         bytes: u64,
         write: bool,
         owner: u64,
-        lanes: &mut TimerLanes,
+        timers: &mut TimerLanes,
         sched: &mut Sched,
     ) -> u32 {
         let mut segs = std::mem::take(&mut self.seg_scratch);
@@ -323,7 +305,7 @@ impl SegmentPump {
                 sequential: false,
                 failover: false,
             };
-            let gave_up = self.submit_seg(now, seg.io_node, req, 0, lanes, sched);
+            let gave_up = self.submit_seg(now, seg.io_node, req, 0, timers, sched);
             debug_assert!(gave_up.is_none(), "extent submission cannot give up");
             count += 1;
             self.stats.segments += 1;
@@ -343,21 +325,15 @@ impl SegmentPump {
         io: u32,
         req: SegmentReq,
         attempt: u32,
-        lanes: &mut TimerLanes,
+        timers: &mut TimerLanes,
         sched: &mut Sched,
     ) -> Option<u64> {
-        match self.lanes[io as usize].sim.submit(now, req) {
+        match self.ionodes[io as usize].submit(now, req) {
             SubmitOutcome::Started => {
-                // Invariant (see `IoNodeModel::submit`): `Started` is only
+                // Invariant (see `IoNodeSim::submit`): `Started` is only
                 // returned after the request is parked as the in-service
-                // work, so `next_done()` is `Some`. This holds under the
-                // sharded engine too: services — and therefore every
-                // `IoNodeModel` — run only inside the coordinator's serial
-                // commit phase (`paragon_sim::pdes`), never concurrently
-                // with shard pre-stepping, so no cross-shard delivery can
-                // interleave between `submit` and `next_done`.
-                let t = self.lanes[io as usize]
-                    .sim
+                // work, so `next_done()` is `Some`.
+                let t = self.ionodes[io as usize]
                     .next_done()
                     .expect("submit returned Started with no in-service work");
                 sched.timer(t, io as u64);
@@ -369,16 +345,14 @@ impl SegmentPump {
                 None
             }
             SubmitOutcome::Rejected(reason) => {
-                self.handle_rejection(now, io, req, attempt, reason, lanes, sched)
+                self.handle_rejection(now, io, req, attempt, reason, timers, sched)
             }
         }
     }
 
     /// A segment was rejected (or lost to a crash): back off and retry,
     /// fail over, park for replay, or report the owner for give-up,
-    /// according to the failover policy. Failover and replay re-route a
-    /// segment to a *different* lane — boundary traffic under the PDES
-    /// ownership contract (serial commit phase only).
+    /// according to the failover policy.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_rejection(
         &mut self,
@@ -387,7 +361,7 @@ impl SegmentPump {
         req: SegmentReq,
         attempt: u32,
         reason: RejectReason,
-        lanes: &mut TimerLanes,
+        timers: &mut TimerLanes,
         sched: &mut Sched,
     ) -> Option<u64> {
         match self.policy {
@@ -399,22 +373,22 @@ impl SegmentPump {
                 // give-up against two healthy-but-busy nodes. Retry
                 // forever with capped backoff; the backlog drains.
                 RejectReason::QueueFull => {
-                    self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), lanes, sched);
+                    self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), timers, sched);
                     None
                 }
                 RejectReason::Down => {
                     if attempt < max_retries {
-                        self.arm_retry(now, io, req, attempt, attempt + 1, lanes, sched);
+                        self.arm_retry(now, io, req, attempt, attempt + 1, timers, sched);
                         None
                     } else if !req.failover {
                         // This node is unreachable: reconstruct from
                         // redundancy on the buddy node (at the degraded
                         // penalty).
                         self.stats.failovers += 1;
-                        let buddy = (io + 1) % self.lanes.len() as u32;
+                        let buddy = (io + 1) % self.ionodes.len() as u32;
                         let mut r = req;
                         r.failover = true;
-                        self.submit_seg(now, buddy, r, 0, lanes, sched)
+                        self.submit_seg(now, buddy, r, 0, timers, sched)
                     } else {
                         // Primary and buddy both refused: the request
                         // cannot be served.
@@ -428,7 +402,7 @@ impl SegmentPump {
                     // Unbounded retries with capped backoff: write-behind
                     // data has nowhere else to go.
                     RejectReason::QueueFull => {
-                        self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), lanes, sched)
+                        self.arm_retry(now, io, req, attempt, (attempt + 1).min(4), timers, sched)
                     }
                 }
                 None
@@ -444,12 +418,12 @@ impl SegmentPump {
         req: SegmentReq,
         attempt: u32,
         next_attempt: u32,
-        lanes: &mut TimerLanes,
+        timers: &mut TimerLanes,
         sched: &mut Sched,
     ) {
         self.stats.retries += 1;
         let delay = backoff_delay(self.retry_base, attempt);
-        let id = lanes.alloc();
+        let id = timers.alloc();
         self.retry_timers.insert(
             id,
             RetrySeg {
@@ -488,12 +462,12 @@ impl SegmentPump {
     /// finished segment to its owner.
     pub fn node_tick(&mut self, now: SimTime, timer: u64, sched: &mut Sched) -> NodeTick {
         let io = timer as usize;
-        let due = matches!(self.lanes[io].sim.next_done(), Some(t) if t <= now);
+        let due = matches!(self.ionodes[io].next_done(), Some(t) if t <= now);
         if !due {
             return NodeTick::Stale;
         }
-        let completion = self.lanes[io].sim.complete_head(now);
-        if let Some(t) = self.lanes[io].sim.next_done() {
+        let completion = self.ionodes[io].complete_head(now);
+        if let Some(t) = self.ionodes[io].next_done() {
             sched.timer(t, timer);
         }
         match completion {
@@ -511,10 +485,10 @@ impl SegmentPump {
     /// exhausted the array's redundancy (a data-loss event). A malformed
     /// event (bad index) is a reportable no-op.
     pub fn apply_disk_fail(&mut self, io: u32, disk: u32) -> bool {
-        match self.lanes[io as usize].sim.array_mut().fail_disk(disk) {
+        match self.ionodes[io as usize].array_mut().fail_disk(disk) {
             Ok(()) => false,
             Err(RaidError::DoubleFailure { .. }) => {
-                self.lanes[io as usize].sim.array_mut().mark_data_lost();
+                self.ionodes[io as usize].array_mut().mark_data_lost();
                 true
             }
             Err(_) => false,
@@ -523,13 +497,12 @@ impl SegmentPump {
 
     /// A hot spare arrived: start the timed background rebuild.
     pub fn apply_disk_repair(&mut self, now: SimTime, io: u32, sched: &mut Sched) {
-        if self.lanes[io as usize]
-            .sim
+        if self.ionodes[io as usize]
             .array_mut()
             .start_rebuild()
             .is_ok()
         {
-            if let Some(t) = self.lanes[io as usize].sim.maybe_start_rebuild(now) {
+            if let Some(t) = self.ionodes[io as usize].maybe_start_rebuild(now) {
                 sched.timer(t, io as u64);
             }
         }
@@ -537,7 +510,7 @@ impl SegmentPump {
 
     /// Stall one node's service for a duration.
     pub fn apply_stall(&mut self, now: SimTime, io: u32, for_dur: SimDuration, sched: &mut Sched) {
-        if let Some(t) = self.lanes[io as usize].sim.stall(now, for_dur) {
+        if let Some(t) = self.ionodes[io as usize].stall(now, for_dur) {
             sched.timer(t, io as u64);
         }
     }
@@ -545,7 +518,7 @@ impl SegmentPump {
     /// Crash one node, returning the in-service and queued segments it
     /// loses. The backend decides their fate (retry chain or replay park).
     pub fn crash(&mut self, io: u32) -> Vec<SegmentReq> {
-        self.lanes[io as usize].sim.crash()
+        self.ionodes[io as usize].crash()
     }
 
     /// Park a lost segment for resubmission when its node recovers.
@@ -555,8 +528,8 @@ impl SegmentPump {
 
     /// Recover a crashed node (and resume any interrupted rebuild).
     pub fn recover(&mut self, now: SimTime, io: u32, sched: &mut Sched) {
-        self.lanes[io as usize].sim.recover();
-        if let Some(t) = self.lanes[io as usize].sim.maybe_start_rebuild(now) {
+        self.ionodes[io as usize].recover();
+        if let Some(t) = self.ionodes[io as usize].maybe_start_rebuild(now) {
             sched.timer(t, io as u64);
         }
     }
@@ -566,14 +539,14 @@ impl SegmentPump {
     /// (in-flight segments keep their committed service times). Repeated
     /// degrades compose by keeping the worse multiplier.
     pub fn apply_link_degrade(&mut self, io: u32, mult: f64) {
-        let node = &mut self.lanes[io as usize].sim;
+        let node = &mut self.ionodes[io as usize];
         let mult = node.link_mult().max(mult);
         node.set_link_mult(mult);
     }
 
     /// Heal the edge link into one I/O node back to full bandwidth.
     pub fn apply_link_heal(&mut self, io: u32) {
-        self.lanes[io as usize].sim.set_link_mult(1.0);
+        self.ionodes[io as usize].set_link_mult(1.0);
     }
 
     /// Resubmit every segment parked against a recovered node.
@@ -581,7 +554,7 @@ impl SegmentPump {
         &mut self,
         now: SimTime,
         io: u32,
-        lanes: &mut TimerLanes,
+        timers: &mut TimerLanes,
         sched: &mut Sched,
     ) {
         let mine: Vec<(u32, SegmentReq)>;
@@ -590,7 +563,7 @@ impl SegmentPump {
             .partition(|(n, _)| *n == io);
         for (n, req) in mine {
             self.stats.replayed += 1;
-            let gave_up = self.submit_seg(now, n, req, 0, lanes, sched);
+            let gave_up = self.submit_seg(now, n, req, 0, timers, sched);
             debug_assert!(gave_up.is_none(), "replay resubmission cannot give up");
         }
     }
@@ -599,38 +572,35 @@ impl SegmentPump {
 
     /// Rebuild chunks completed across all I/O nodes.
     pub fn rebuild_chunks_total(&self) -> u64 {
-        self.lanes.iter().map(|l| l.sim.rebuild_chunks()).sum()
+        self.ionodes.iter().map(|n| n.rebuild_chunks()).sum()
     }
 
     /// Member bytes rebuilt across all I/O nodes.
     pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.lanes.iter().map(|l| l.sim.rebuilt_bytes()).sum()
+        self.ionodes.iter().map(|n| n.rebuilt_bytes()).sum()
     }
 
     /// I/O nodes whose arrays are still degraded.
     pub fn degraded_nodes(&self) -> u32 {
-        self.lanes
-            .iter()
-            .filter(|l| l.sim.array().degraded())
-            .count() as u32
+        self.ionodes.iter().filter(|n| n.array().degraded()).count() as u32
     }
 
     /// Sum of queueing delay accumulated across all I/O nodes.
     pub fn total_queueing(&self) -> SimDuration {
-        self.lanes
+        self.ionodes
             .iter()
-            .map(|l| l.sim.queued_total())
+            .map(|n| n.queued_total())
             .fold(SimDuration::ZERO, |a, b| a + b)
     }
 
     /// Total stripe segments completed across all I/O nodes.
     pub fn segments_completed(&self) -> u64 {
-        self.lanes.iter().map(|l| l.sim.completed()).sum()
+        self.ionodes.iter().map(|n| n.completed()).sum()
     }
 
     /// Whether any array has exhausted its redundancy (durable ≠ healthy).
     pub fn any_data_lost(&self) -> bool {
-        self.lanes.iter().any(|l| l.sim.array().data_lost())
+        self.ionodes.iter().any(|n| n.array().data_lost())
     }
 }
 
@@ -678,14 +648,14 @@ mod tests {
         }
         let base = SimDuration::from_millis(50);
         let mut pump = SegmentPump::new(ionodes, FailoverPolicy::Buddy { max_retries: 2 }, base);
-        let mut lanes = TimerLanes::new(pump.len());
+        let mut timers = TimerLanes::new(pump.len());
         let mut sched = Sched::default();
 
         // A max-slot-size aggregated segment occupies node 0...
         let big = DEFAULT_FILE_SLOT;
         let first = pump.stage_seg(0, big, true, 1);
         assert!(pump
-            .submit_seg(SimTime::ZERO, 0, first, 0, &mut lanes, &mut sched)
+            .submit_seg(SimTime::ZERO, 0, first, 0, &mut timers, &mut sched)
             .is_none());
 
         // ...so an equally large follow-up bounces QueueFull well past
@@ -696,7 +666,7 @@ mod tests {
         for round in 0..12u32 {
             // Dynamic-lane ids are allocated in submit order, one per round.
             let armed = pump.len() as u64 + u64::from(round);
-            let gave_up = pump.submit_seg(now, 0, req, attempt, &mut lanes, &mut sched);
+            let gave_up = pump.submit_seg(now, 0, req, attempt, &mut timers, &mut sched);
             assert!(gave_up.is_none(), "round {round}: gave up on a busy node");
             let r = pump
                 .take_retry(armed)
@@ -718,7 +688,7 @@ mod tests {
             other => panic!("expected the first segment to complete, got {other:?}"),
         }
         assert!(pump
-            .submit_seg(t, 0, req, attempt, &mut lanes, &mut sched)
+            .submit_seg(t, 0, req, attempt, &mut timers, &mut sched)
             .is_none());
         assert_eq!(pump.owner_of(req.id), Some(2));
 

@@ -1,9 +1,4 @@
 //! Application-visible interval tracing and completion plumbing.
-//!
-//! PDES classification: the recorder writes into the sink's per-node trace
-//! lanes (`sio_core::trace`) — appends are shard-local per node, while the
-//! global sequence stamp is allocated in serial-commit order, which is what
-//! keeps frozen traces byte-identical at every shard count.
 
 use paragon_sim::engine::Sched;
 use paragon_sim::program::{IoFault, IoResult, IoToken};

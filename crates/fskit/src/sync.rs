@@ -1,10 +1,4 @@
 //! Parking/drain bookkeeping for `Sync` commits.
-//!
-//! PDES classification: a `Sync` parks until *every* in-flight write on its
-//! file has drained — writes that span many I/O nodes and originate from
-//! many compute nodes. The ledger is therefore cross-node (boundary) state
-//! by definition; it is only ever touched from service code, i.e. the
-//! sharded engine's serial commit phase (DESIGN.md §8).
 
 use paragon_sim::program::IoToken;
 use paragon_sim::{NodeId, SimTime};

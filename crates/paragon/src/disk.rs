@@ -7,10 +7,6 @@
 //! transfer (bytes / sustained rate). The paper's §1 observation — "the
 //! commodity disk market favors low cost, low power consumption and high
 //! capacity over high data rates" — is why these constants are small.
-//!
-//! PDES ownership: a disk belongs to exactly one RAID array, which belongs
-//! to exactly one I/O node — disk state is shard-owned transitively through
-//! [`crate::ionode::IoNodeSim`] and never touched across nodes.
 
 use crate::time::{transfer_time, SimDuration};
 use rand::rngs::StdRng;

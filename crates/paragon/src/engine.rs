@@ -1,25 +1,12 @@
 //! Deterministic discrete-event engine.
 //!
-//! The engine owns the event queue, the node programs, and one
+//! The engine owns the global event queue, the node programs, and one
 //! [`IoService`] (the file-system model). It executes node programs in
 //! global simulated-time order with deterministic tie-breaking (FIFO by
 //! event sequence number), handles blocking and unblocking for every
 //! [`Step`] kind (compute, sync/async I/O, barriers, eager sends, blocking
 //! receives, broadcasts), and routes I/O calls to the service, which answers
 //! by scheduling completions and private timers through [`Sched`].
-//!
-//! The event queue is a set of *lanes* (`EventLane`), each an independent
-//! `(time, seq)` heap plus the slab holding its payloads. Run serially the
-//! engine has a single lane; the sharded front end (`crate::pdes`)
-//! reconfigures it into one lane per mesh region — holding exactly that
-//! region's node-resume traffic — plus a trailing *boundary* lane for
-//! everything with cross-region reach (I/O completions, service timers).
-//! The globally next event is the minimum `(time, seq)` across lane heads,
-//! so lane layout is invisible in event order; what it buys is that a
-//! *closed* window (every queued event below the horizon is a node resume,
-//! and every pre-stepped transition chain stays inside its region) can be
-//! committed as one batched per-lane splice (`Engine::apply_closed_window`)
-//! instead of one serial pop/dispatch/push per event.
 //!
 //! The engine knows nothing about files, striping, or access modes: that is
 //! the service's business. The service knows nothing about blocking: that is
@@ -32,7 +19,6 @@ use crate::NodeId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
 
 /// The file-system side of the simulation.
 ///
@@ -270,132 +256,6 @@ impl EngineReport {
 /// Hard safety limit on processed events (runaway-program backstop).
 const MAX_EVENTS: u64 = 2_000_000_000;
 
-/// Minimum per-window op count (pops + splices) before the closed-window
-/// surgery fans out across worker threads; below this the per-thread spawn
-/// cost dwarfs the heap work.
-const PAR_SURGERY_MIN: usize = 256;
-
-/// One event lane: a `(time, seq)`-ordered heap plus the slab holding its
-/// payloads (the heap entry carries the slot index). Lanes are the unit of
-/// shard ownership — each holds state no other lane's events can touch, so
-/// the closed-window splice may operate on all lanes concurrently.
-#[derive(Debug, Default)]
-struct EventLane {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    slab: Vec<Ev>,
-    free: Vec<u32>,
-}
-
-impl EventLane {
-    fn with_capacity(cap: usize) -> EventLane {
-        EventLane {
-            heap: BinaryHeap::with_capacity(cap),
-            slab: Vec::with_capacity(cap),
-            free: Vec::with_capacity(cap),
-        }
-    }
-
-    /// `(time, seq)` of this lane's earliest event.
-    fn head(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|&Reverse((t, s, _))| (t, s))
-    }
-
-    fn insert(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = ev;
-                slot
-            }
-            None => {
-                // Checked: a wrapped slot index would silently alias another
-                // event's payload and corrupt the heap.
-                let slot = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
-                self.slab.push(ev);
-                slot
-            }
-        };
-        // The slot index never breaks a tie: `seq` is globally unique.
-        self.heap.push(Reverse((at, seq, slot)));
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Ev)> {
-        let Reverse((t, _seq, slot)) = self.heap.pop()?;
-        let ev = self.slab[slot as usize];
-        self.free.push(slot);
-        Some((t, ev))
-    }
-
-    /// Closed-window surgery: remove every event below `horizon` (the
-    /// window's pending resumes, all consumed by the plan) and splice in the
-    /// chain-end resumes with their pre-assigned sequence numbers. The pop
-    /// count is cross-checked against the plan — a mismatch means the purity
-    /// classification was wrong, which would silently corrupt event order.
-    fn splice_window(&mut self, horizon: SimTime, pops: usize, pushes: &[(SimTime, u64, NodeId)]) {
-        let mut popped = 0usize;
-        while let Some(&Reverse((t, _, slot))) = self.heap.peek() {
-            if t >= horizon {
-                break;
-            }
-            self.heap.pop();
-            self.free.push(slot);
-            popped += 1;
-        }
-        assert_eq!(popped, pops, "window plan pop count mismatch");
-        for &(t, seq, node) in pushes {
-            self.insert(t, seq, Ev::Resume(node, Resume::Computed));
-        }
-    }
-}
-
-/// How a pre-stepped transition chain ends (built by `crate::pdes`, consumed
-/// by [`Engine::plan_closed_window`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainEnd {
-    /// The final `Compute` pushes the node's next resume at or past the
-    /// window horizon — the chain leaves one physical event for next window.
-    BeyondHorizon,
-    /// The program finished; the chain leaves nothing behind.
-    Done,
-    /// The chain hit a step with shard-external reach (I/O, message,
-    /// collective) — the window must be committed serially.
-    Boundary,
-}
-
-/// One node's pre-stepped compute chain for the current window: the pending
-/// resume it starts from (scheduled time and heap sequence number) and the
-/// durations of the `Compute` transitions walked below the horizon, in
-/// order.
-#[derive(Debug)]
-pub(crate) struct NodeChain {
-    pub node: NodeId,
-    pub t0: SimTime,
-    pub seq0: u64,
-    pub computes: Vec<SimDuration>,
-    pub end: ChainEnd,
-}
-
-/// The fully determined effect of a closed window, produced by
-/// [`Engine::plan_closed_window`] without touching engine state: per-lane
-/// pop counts and splices (with pre-assigned sequence numbers replicating
-/// the serial engine's push order exactly), finished nodes, and the
-/// counter/clock updates.
-#[derive(Debug)]
-pub(crate) struct WindowPlan {
-    horizon: SimTime,
-    /// Pending events to remove per lane (cross-checked by the surgery).
-    pops: Vec<usize>,
-    /// Chain-end resumes to splice per lane: `(time, seq, node)`.
-    pushes: Vec<Vec<(SimTime, u64, NodeId)>>,
-    /// Nodes whose programs finished inside the window.
-    done: Vec<NodeId>,
-    /// Events the serial engine would have processed for this window.
-    events: u64,
-    /// Sequence counter after the window.
-    next_seq: u64,
-    /// Time of the window's last event (the new `now` and wall).
-    last: SimTime,
-}
-
 /// The discrete-event engine.
 ///
 /// All hot-path state is dense and index-addressed: event payloads live in a
@@ -407,13 +267,10 @@ pub(crate) struct WindowPlan {
 pub struct Engine<S: IoService> {
     now: SimTime,
     seq: u64,
-    /// Event lanes: one (serial) or one per mesh region plus a trailing
-    /// boundary lane (sharded; see [`Engine::configure_lanes`]).
-    lanes: Vec<EventLane>,
-    /// Owning lane per node for resume routing (all zeros when serial).
-    lane_of: Vec<u32>,
-    /// Total events queued across all lanes.
-    queued: usize,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Event payload slab; the heap entry carries the slot index.
+    slab: Vec<Ev>,
+    free: Vec<u32>,
     programs: Vec<Box<dyn NodeProgram>>,
     done: Vec<bool>,
     service: S,
@@ -440,11 +297,6 @@ pub struct Engine<S: IoService> {
     /// Liveness-watchdog deadline: a run whose simulated time crosses this
     /// with programs unfinished is declared stuck (see [`HangReport`]).
     watchdog: Option<SimTime>,
-    /// Time of the last processed *effectful* event (no-effect service
-    /// timers excluded); becomes `EngineReport::wall`.
-    run_wall: SimTime,
-    /// Hang diagnosis recorded mid-run by the watchdog, if any.
-    hang: Option<HangReport>,
 }
 
 impl<S: IoService> Engine<S> {
@@ -475,9 +327,9 @@ impl<S: IoService> Engine<S> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            lanes: vec![EventLane::with_capacity(cap)],
-            lane_of: vec![0; n],
-            queued: 0,
+            heap: BinaryHeap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: Vec::with_capacity(cap),
             programs,
             done,
             service,
@@ -496,8 +348,6 @@ impl<S: IoService> Engine<S> {
             channel_buffered: 0,
             channel_peak: 0,
             watchdog: None,
-            run_wall: SimTime::ZERO,
-            hang: None,
         }
     }
 
@@ -552,63 +402,26 @@ impl<S: IoService> Engine<S> {
         self.service
     }
 
-    /// Reconfigure the event queue into one lane per region plus a trailing
-    /// boundary lane for non-resume traffic. Must run before any event is
-    /// queued; the sharded front end (`crate::pdes`) calls it between
-    /// construction and `begin_run`. Lane layout never affects event order
-    /// (the pop is a global `(time, seq)` minimum across lane heads), so a
-    /// reconfigured engine is byte-identical to a serial one.
-    pub(crate) fn configure_lanes(&mut self, regions: &[Range<NodeId>]) {
-        assert_eq!(self.queued, 0, "lanes reconfigured with events queued");
-        let cap = 4 * self.programs.len() / regions.len().max(1) + 16;
-        self.lanes = (0..=regions.len())
-            .map(|_| EventLane::with_capacity(cap))
-            .collect();
-        for (i, r) in regions.iter().enumerate() {
-            let lane = u32::try_from(i).expect("region count exceeds u32");
-            for n in r.clone() {
-                self.lane_of[n as usize] = lane;
-            }
-        }
-    }
-
-    /// Index of the lane holding the globally next event: the minimum
-    /// `(time, seq)` across lane heads. At most regions + 1 lanes exist, so
-    /// the scan is a handful of comparisons.
-    fn min_lane(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some((t, s)) = lane.head() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, i));
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
     fn push(&mut self, at: SimTime, ev: Ev) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.push_with_seq(at, seq, ev);
-    }
-
-    /// Insert an event with an explicit sequence number. The closed-window
-    /// splice replays the serial engine's seq assignment from the window
-    /// plan; everything else allocates through [`Engine::push`].
-    fn push_with_seq(&mut self, at: SimTime, seq: u64, ev: Ev) {
-        let lane = match ev {
-            // Node-resume traffic lives in the owning region's lane.
-            Ev::Resume(node, _) => self.lane_of[node as usize] as usize,
-            // Everything with cross-region reach (I/O completions, service
-            // timers) lives in the boundary lane — the last lane, which is
-            // also lane 0 when the engine runs unsharded.
-            Ev::IoComplete(..) | Ev::ServiceTimer(_) => self.lanes.len() - 1,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = ev;
+                slot
+            }
+            None => {
+                // Checked: a wrapped slot index would silently alias another
+                // event's payload and corrupt the heap.
+                let slot = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
+                self.slab.push(ev);
+                slot
+            }
         };
-        self.lanes[lane].insert(at, seq, ev);
-        self.queued += 1;
-        self.heap_peak = self.heap_peak.max(self.queued);
+        // The slot index never breaks a tie: `seq` is globally unique.
+        self.heap.push(Reverse((at, seq, slot)));
+        self.heap_peak = self.heap_peak.max(self.heap.len());
     }
 
     /// Find (or create) the channel carrying messages `from -> to` under
@@ -673,49 +486,30 @@ impl<S: IoService> Engine<S> {
     /// `blocked` list names the nodes that died mid-program. A `stop` of
     /// `SimTime(u64::MAX)` is an ordinary full run.
     pub fn run_until(&mut self, stop: SimTime) -> EngineReport {
-        self.begin_run();
-        let _ = self.pump(None, stop);
-        self.finish_run()
-    }
-
-    /// Start a run: let the service arm standing timers, then seed every
-    /// node's `Resume::Start` event at time zero. Split out of
-    /// [`Engine::run_until`] so the sharded window driver
-    /// ([`crate::pdes::ShardedEngine`]) can interleave parallel pre-stepping
-    /// between bounded [`Engine::pump`] calls.
-    pub(crate) fn begin_run(&mut self) {
         let mut sched = Sched::default();
         self.service.on_start(&mut sched);
         self.drain_sched(sched);
         for node in 0..self.programs.len() as NodeId {
             self.push(SimTime::ZERO, Ev::Resume(node, Resume::Start));
         }
-    }
-
-    /// Process events with `t <= stop` and, when `horizon` is `Some(h)`,
-    /// `t < h`. Returns `true` when the run is over — heap drained, next
-    /// event past the crash cut `stop`, or the watchdog tripped — and
-    /// `false` when the horizon was reached with work remaining.
-    pub(crate) fn pump(&mut self, horizon: Option<SimTime>, stop: SimTime) -> bool {
-        while let Some(lane) = self.min_lane() {
-            let (t, _) = self.lanes[lane].head().expect("min lane lost its head");
+        // Wall time excludes trailing no-effect service timers (e.g. a
+        // periodic flush firing long after the programs finished with
+        // nothing left to flush).
+        let mut wall = SimTime::ZERO;
+        let mut hang: Option<HangReport> = None;
+        while let Some(&Reverse((t, _, _))) = self.heap.peek() {
             if t > stop {
-                return true;
-            }
-            if let Some(h) = horizon {
-                if t >= h {
-                    return false;
-                }
+                break;
             }
             if let Some(deadline) = self.watchdog {
                 if t > deadline && !self.done.iter().all(|d| *d) {
-                    self.hang =
-                        Some(self.hang_report(t, HangReason::DeadlineExceeded { deadline }));
-                    return true;
+                    hang = Some(self.hang_report(t, HangReason::DeadlineExceeded { deadline }));
+                    break;
                 }
             }
-            let (t, ev) = self.lanes[lane].pop().expect("peeked event vanished");
-            self.queued -= 1;
+            let Reverse((t, _seq, slot)) = self.heap.pop().expect("peeked event vanished");
+            let ev = self.slab[slot as usize];
+            self.free.push(slot);
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             self.events_processed += 1;
@@ -726,30 +520,21 @@ impl<S: IoService> Engine<S> {
             match ev {
                 Ev::Resume(node, resume) => {
                     self.step_node(node, resume);
-                    self.run_wall = self.now;
+                    wall = self.now;
                 }
                 Ev::IoComplete(token, result) => {
                     self.io_complete(token, result);
-                    self.run_wall = self.now;
+                    wall = self.now;
                 }
                 Ev::ServiceTimer(timer) => {
-                    // Wall time excludes trailing no-effect service timers
-                    // (e.g. a periodic flush firing long after the programs
-                    // finished with nothing left to flush).
                     let mut sched = Sched::default();
                     self.service.on_timer(self.now, timer, &mut sched);
                     if self.drain_sched(sched) {
-                        self.run_wall = self.now;
+                        wall = self.now;
                     }
                 }
             }
         }
-        true
-    }
-
-    /// Close out a run: notify the service, collect blocked nodes, apply the
-    /// quiescence check, and assemble the report.
-    pub(crate) fn finish_run(&mut self) -> EngineReport {
         self.service.on_run_end(self.now);
         let blocked: Vec<NodeId> = (0..self.programs.len() as NodeId)
             .filter(|&n| !self.done[n as usize])
@@ -757,173 +542,17 @@ impl<S: IoService> Engine<S> {
         // Quiescence check: the heap drained (nothing was abandoned past a
         // crash cut or a tripped deadline) yet programs never finished —
         // that is "stuck", not "finished".
-        let mut hang = self.hang.take();
-        if hang.is_none() && self.watchdog.is_some() && self.queued == 0 && !blocked.is_empty() {
+        if hang.is_none() && self.watchdog.is_some() && self.heap.is_empty() && !blocked.is_empty()
+        {
             hang = Some(self.hang_report(self.now, HangReason::Exhausted));
         }
         EngineReport {
-            wall: self.run_wall,
+            wall,
             events: self.events_processed,
             nodes_done: self.done.iter().filter(|d| **d).count() as u32,
             blocked,
             hang,
         }
-    }
-
-    /// Timestamp of the earliest queued event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.lanes
-            .iter()
-            .filter_map(EventLane::head)
-            .min()
-            .map(|(t, _)| t)
-    }
-
-    /// The armed liveness-watchdog deadline, if any (closed-window guard).
-    pub(crate) fn watchdog_deadline(&self) -> Option<SimTime> {
-        self.watchdog
-    }
-
-    /// Collect every pending node-resume event strictly below `horizon`,
-    /// with its scheduled time and heap sequence number. Each node has at
-    /// most one resume in flight (a node is stepped only when it unblocks,
-    /// and each step parks it again), so the result holds at most one entry
-    /// per node; heap order does not matter here because a pending resume's
-    /// payload and its node's program state are sealed until the event is
-    /// popped.
-    ///
-    /// Returns whether the window is *pure*: no non-resume event (I/O
-    /// completion, service timer) is queued below the horizon. Purity is
-    /// one precondition for the closed-window batch commit — a non-resume
-    /// event interleaved with the chains would need the serial dispatcher.
-    pub(crate) fn pending_resumes_below(
-        &self,
-        horizon: SimTime,
-        out: &mut Vec<(SimTime, u64, NodeId, Resume)>,
-    ) -> bool {
-        let mut pure = true;
-        for lane in &self.lanes {
-            for &Reverse((t, seq, slot)) in lane.heap.iter() {
-                if t < horizon {
-                    match lane.slab[slot as usize] {
-                        Ev::Resume(node, resume) => out.push((t, seq, node, resume)),
-                        Ev::IoComplete(..) | Ev::ServiceTimer(_) => pure = false,
-                    }
-                }
-            }
-        }
-        pure
-    }
-
-    /// Turn a window's pre-stepped chains into a [`WindowPlan`] without
-    /// touching engine state: a tiny merge-simulation pops the chains in
-    /// `(time, seq)` order — exactly the order the serial dispatcher would —
-    /// assigning each chain-advancing push the sequence number the serial
-    /// engine would have assigned. Resumes created *and* consumed inside the
-    /// window never materialize (they would be pushed and popped without any
-    /// other observer); only the chain-end pushes at or past the horizon
-    /// become physical events, carrying their pre-assigned seqs so every
-    /// later tie-break is byte-identical to the serial run.
-    ///
-    /// Caller guarantees (checked in debug builds): the window is pure, and
-    /// no chain ends at a [`ChainEnd::Boundary`].
-    pub(crate) fn plan_closed_window(&self, chains: &[NodeChain], horizon: SimTime) -> WindowPlan {
-        let lanes = self.lanes.len();
-        let mut pops = vec![0usize; lanes];
-        let mut pushes: Vec<Vec<(SimTime, u64, NodeId)>> = vec![Vec::new(); lanes];
-        let mut done = Vec::new();
-        let mut sim = BinaryHeap::with_capacity(chains.len());
-        for (ci, c) in chains.iter().enumerate() {
-            debug_assert!(
-                c.end != ChainEnd::Boundary,
-                "boundary chain in closed window"
-            );
-            debug_assert!(c.t0 < horizon, "chain starts past the horizon");
-            pops[self.lane_of[c.node as usize] as usize] += 1;
-            sim.push(Reverse((c.t0, c.seq0, ci)));
-        }
-        let mut pos = vec![0usize; chains.len()];
-        let mut next_seq = self.seq;
-        let mut events = 0u64;
-        let mut last = self.now;
-        while let Some(Reverse((t, _seq, ci))) = sim.pop() {
-            events += 1;
-            last = t;
-            let c = &chains[ci];
-            let p = pos[ci];
-            if p < c.computes.len() {
-                let t2 = t + c.computes[p];
-                let s2 = next_seq;
-                next_seq += 1;
-                pos[ci] = p + 1;
-                if t2 < horizon {
-                    sim.push(Reverse((t2, s2, ci)));
-                } else {
-                    debug_assert!(
-                        p + 1 == c.computes.len() && c.end == ChainEnd::BeyondHorizon,
-                        "chain crossed the horizon mid-walk"
-                    );
-                    pushes[self.lane_of[c.node as usize] as usize].push((t2, s2, c.node));
-                }
-            } else {
-                debug_assert!(c.end == ChainEnd::Done, "chain ran dry without finishing");
-                done.push(c.node);
-            }
-        }
-        WindowPlan {
-            horizon,
-            pops,
-            pushes,
-            done,
-            events,
-            next_seq,
-            last,
-        }
-    }
-
-    /// Apply a closed window in one batch: per-lane heap surgery (remove the
-    /// consumed pending resumes, splice the chain-end pushes), then the
-    /// counter and clock updates the serial dispatcher would have made.
-    /// Lanes are disjoint, so the surgery fans out across `threads` workers
-    /// when the batch is large enough to pay for the spawn.
-    ///
-    /// No peak update is needed: within a window every push is preceded by a
-    /// pop (each event spawns at most one successor), so the queue never
-    /// grows past its window-start size — which the push that created the
-    /// last pre-window event already recorded.
-    pub(crate) fn apply_closed_window(&mut self, plan: &WindowPlan, threads: usize) {
-        let popped: usize = plan.pops.iter().sum();
-        let pushed: usize = plan.pushes.iter().map(Vec::len).sum();
-        let horizon = plan.horizon;
-        if threads > 1 && popped + pushed >= PAR_SURGERY_MIN {
-            std::thread::scope(|scope| {
-                for ((lane, &pops), pushes) in
-                    self.lanes.iter_mut().zip(&plan.pops).zip(&plan.pushes)
-                {
-                    if pops > 0 || !pushes.is_empty() {
-                        scope.spawn(move || lane.splice_window(horizon, pops, pushes));
-                    }
-                }
-            });
-        } else {
-            for ((lane, &pops), pushes) in self.lanes.iter_mut().zip(&plan.pops).zip(&plan.pushes) {
-                if pops > 0 || !pushes.is_empty() {
-                    lane.splice_window(horizon, pops, pushes);
-                }
-            }
-        }
-        self.queued = self.queued + pushed - popped;
-        for &node in &plan.done {
-            self.done[node as usize] = true;
-        }
-        self.events_processed += plan.events;
-        assert!(
-            self.events_processed < MAX_EVENTS,
-            "event budget exceeded: runaway program?"
-        );
-        self.seq = plan.next_seq;
-        self.now = plan.last;
-        self.run_wall = plan.last;
     }
 
     /// Snapshot the stuck state: parked nodes, in-flight I/O tokens, and the
@@ -945,16 +574,11 @@ impl<S: IoService> Engine<S> {
                 _ => None,
             })
             .collect();
-        // Scan every lane: abandoned timers live in the boundary lane, but
-        // parked shards' resume lanes must not hide them if the layout ever
-        // changes, so count across the whole queue.
         let killed_timers = self
-            .lanes
+            .heap
             .iter()
-            .flat_map(|lane| {
-                lane.heap.iter().filter(|Reverse((_, _, slot))| {
-                    matches!(lane.slab[*slot as usize], Ev::ServiceTimer(_))
-                })
+            .filter(|Reverse((_, _, slot))| {
+                matches!(self.slab[*slot as usize], Ev::ServiceTimer(_))
             })
             .count() as u64;
         HangReport {

@@ -21,14 +21,6 @@
 //!   ([`IoNodeSim::maybe_start_rebuild`]): foreground has priority, rebuild
 //!   fills idle gaps, and each in-flight chunk delays queued foreground work
 //!   behind it.
-//!
-//! PDES ownership: an `IoNodeSim` (queue, array, stall/crash state) is
-//! *shard-owned* — it is only ever mutated by its own node's events
-//! (submissions routed to it, its completion timer, faults addressed to
-//! it), all of which are service interactions and therefore run in the
-//! sharded engine's serial commit phase (DESIGN.md §8). The interactions
-//! that move work *between* nodes — buddy failover and stripe replay —
-//! live in `fskit::pump`, classified there as boundary traffic.
 
 use crate::raid::Raid3;
 use crate::time::{SimDuration, SimTime};

@@ -35,7 +35,6 @@ pub mod fault;
 pub mod ionode;
 pub mod machine;
 pub mod mesh;
-pub mod pdes;
 pub mod program;
 pub mod raid;
 pub mod time;
@@ -46,7 +45,6 @@ pub use engine::{
 pub use fault::{FaultDomain, FaultEvent, FaultKind, FaultSchedule, META_REPLICAS};
 pub use machine::MachineConfig;
 pub use mesh::{LinkQuality, LinkState};
-pub use pdes::{configured_shards, default_shards, set_shards, ShardedEngine};
 pub use program::{GroupId, IoFault, IoRequest, IoResult, IoVerb, NodeProgram, Resume, Step};
 pub use time::{SimDuration, SimTime};
 

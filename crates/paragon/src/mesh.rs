@@ -204,68 +204,6 @@ impl Mesh {
         per_stage.times(stages as u64)
     }
 
-    /// Partition `nodes` compute nodes into `shards` contiguous node-id
-    /// ranges. Node ids are row-major, so each range is a horizontal band
-    /// of the mesh — the region shape that maximizes the minimum hop count
-    /// between regions (and therefore the conservative lookahead a sharded
-    /// engine can claim). Returns at most `shards` non-empty ranges.
-    pub fn region_partition(nodes: u32, shards: u32) -> Vec<std::ops::Range<u32>> {
-        let shards = shards.clamp(1, nodes.max(1));
-        let base = nodes / shards;
-        let extra = nodes % shards;
-        let mut out = Vec::with_capacity(shards as usize);
-        let mut start = 0;
-        for s in 0..shards {
-            let len = base + u32::from(s < extra);
-            if len == 0 {
-                continue;
-            }
-            out.push(start..start + len);
-            start += len;
-        }
-        out
-    }
-
-    /// Minimum hop count between two contiguous row-major node ranges
-    /// (`a` entirely before `b`). Ranges that abut inside a row are one
-    /// hop apart; otherwise the closest pair sits vertically across the
-    /// row gap.
-    pub fn min_range_hops(&self, a: &std::ops::Range<u32>, b: &std::ops::Range<u32>) -> u32 {
-        assert!(a.end <= b.start && !a.is_empty() && !b.is_empty());
-        let last_row = self.compute_pos(a.end - 1).0;
-        let first_row = self.compute_pos(b.start).0;
-        if first_row == last_row {
-            1 // adjacent ids in the same row
-        } else {
-            first_row - last_row
-        }
-    }
-
-    /// Conservative lookahead for a region-sharded engine: no event executed
-    /// in one region at time `t` can affect another region (or any collective
-    /// spanning regions) before `t + lookahead`. The bound is the minimum of
-    /// the cheapest cross-region message (`sw_overhead` + `hop_latency` ×
-    /// min inter-region hops), the cheapest barrier release (two stages of
-    /// the reduction tree), and the cheapest broadcast stage.
-    pub fn region_lookahead(
-        &self,
-        costs: &CommCosts,
-        regions: &[std::ops::Range<u32>],
-    ) -> SimDuration {
-        let mut min_hops = u32::MAX;
-        for pair in regions.windows(2) {
-            min_hops = min_hops.min(self.min_range_hops(&pair[0], &pair[1]));
-        }
-        let msg = if min_hops == u32::MAX {
-            SimDuration(u64::MAX) // single region: messages never cross
-        } else {
-            costs.sw_overhead + costs.hop_latency.times(min_hops as u64)
-        };
-        let barrier = costs.barrier_stage.times(2);
-        let bcast_stage = costs.sw_overhead + costs.hop_latency.times(2);
-        SimDuration(msg.0.min(barrier.0).min(bcast_stage.0))
-    }
-
     /// [`Mesh::msg_time`] over links of quality `q`. Healthy quality takes
     /// the exact healthy path, so runs without link faults are bit-identical
     /// to runs that never consult a [`LinkState`].
@@ -384,41 +322,6 @@ mod tests {
     fn bad_node_panics() {
         let m = Mesh::for_nodes(4, 1);
         let _ = m.compute_pos(4);
-    }
-
-    #[test]
-    fn region_partition_covers_contiguously() {
-        for (nodes, shards) in [(128u32, 8u32), (7, 3), (4, 8), (1, 1), (513, 8)] {
-            let parts = Mesh::region_partition(nodes, shards);
-            assert!(parts.len() as u32 <= shards.max(1));
-            assert_eq!(parts[0].start, 0);
-            assert_eq!(parts.last().unwrap().end, nodes);
-            for pair in parts.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-            }
-            // Near-even split: sizes differ by at most one.
-            let sizes: Vec<u32> = parts.iter().map(|r| r.end - r.start).collect();
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        }
-    }
-
-    #[test]
-    fn region_lookahead_is_a_safe_lower_bound() {
-        let m = Mesh::for_nodes(128, 16);
-        let c = CommCosts::default();
-        let parts = Mesh::region_partition(128, 8);
-        let la = m.region_lookahead(&c, &parts);
-        assert!(la.nanos() >= 1);
-        // The bound never exceeds any cross-region message or collective.
-        for pair in parts.windows(2) {
-            let hops = m.min_range_hops(&pair[0], &pair[1]);
-            assert!(la <= m.msg_time(&c, hops, 0));
-        }
-        assert!(la <= m.barrier_time(&c, 2));
-        assert!(la <= m.broadcast_time(&c, 2, 0));
-        // Single region: only collectives bound the window.
-        let one = Mesh::region_partition(128, 1);
-        assert!(m.region_lookahead(&c, &one) >= la);
     }
 
     #[test]

@@ -17,11 +17,6 @@
 //! ([`crate::ionode::IoNodeSim`]) so rebuild traffic competes with
 //! foreground requests; the array stays degraded until the last chunk
 //! completes.
-//!
-//! PDES ownership: rebuild state (progress cursor, chunk accounting,
-//! degraded/data-lost flags) is part of its owning I/O node's shard-owned
-//! lane — rebuilds are driven exclusively by that node's own timer events,
-//! so no cross-shard mutation exists (DESIGN.md §8).
 
 use crate::disk::{Disk, DiskParams};
 use crate::time::SimDuration;

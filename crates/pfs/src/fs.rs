@@ -291,7 +291,7 @@ impl Pfs {
     }
 
     /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
+    pub fn node_loads(&self) -> &[NodeLoad] {
         self.pump.node_loads()
     }
 

@@ -321,7 +321,7 @@ impl Ppfs {
     }
 
     /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> Vec<NodeLoad> {
+    pub fn node_loads(&self) -> &[NodeLoad] {
         self.pump.node_loads()
     }
 

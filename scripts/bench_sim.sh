@@ -4,12 +4,6 @@
 #
 #   * engine micro-bench throughput (events dispatched per second in the
 #     `engine/dispatch_128k_events` bench),
-#   * sharded-engine throughput at 1 and 8 shards (`engine/pdes_1shard`,
-#     `engine/pdes_8shard` — spin-transition workload whose pre-step phase
-#     parallelizes; on a 1-core host the two are expected to tie),
-#   * commit throughput at 1 and 8 shards (`engine/commit_1shard`,
-#     `engine/commit_8shard` — replay-shaped workload whose closed windows
-#     batch-commit per shard lane; on a 1-core host expected to tie),
 #   * burst-log drain throughput (frames through the append/GC/replay
 #     cycle per second in the `blog/drain_cycle_10k_frames` bench), and
 #   * wall time of a full `repro all` at paper scale (perf counters off).
@@ -62,36 +56,6 @@ for _ in $(seq "$REPS"); do
     eps_samples+=("$eps")
 done
 
-pdes1_samples=()
-pdes8_samples=()
-for _ in $(seq "$REPS"); do
-    out=$(cargo bench -q -p sio-bench --bench micro -- engine/pdes 2>/dev/null)
-    p1=$(awk '/engine\/pdes_1shard/ {print $(NF - 1)}' <<<"$out")
-    p8=$(awk '/engine\/pdes_8shard/ {print $(NF - 1)}' <<<"$out")
-    if [ -z "$p1" ] || [ -z "$p8" ]; then
-        echo "[bench_sim] failed to parse pdes bench output" >&2
-        exit 1
-    fi
-    echo "[bench_sim] pdes sample: 1shard $p1 elem/s, 8shard $p8 elem/s" >&2
-    pdes1_samples+=("$p1")
-    pdes8_samples+=("$p8")
-done
-
-commit1_samples=()
-commit8_samples=()
-for _ in $(seq "$REPS"); do
-    out=$(cargo bench -q -p sio-bench --bench micro -- engine/commit 2>/dev/null)
-    c1=$(awk '/engine\/commit_1shard/ {print $(NF - 1)}' <<<"$out")
-    c8=$(awk '/engine\/commit_8shard/ {print $(NF - 1)}' <<<"$out")
-    if [ -z "$c1" ] || [ -z "$c8" ]; then
-        echo "[bench_sim] failed to parse commit bench output" >&2
-        exit 1
-    fi
-    echo "[bench_sim] commit sample: 1shard $c1 elem/s, 8shard $c8 elem/s" >&2
-    commit1_samples+=("$c1")
-    commit8_samples+=("$c8")
-done
-
 drain_samples=()
 for _ in $(seq "$REPS"); do
     fps=$(cargo bench -q -p sio-bench --bench micro -- blog/drain_cycle_10k_frames 2>/dev/null |
@@ -118,8 +82,6 @@ done
 MODE="$MODE" NOTE="$NOTE" \
     EPS_SAMPLES="${eps_samples[*]}" MS_SAMPLES="${ms_samples[*]}" \
     DRAIN_SAMPLES="${drain_samples[*]}" \
-    PDES1_SAMPLES="${pdes1_samples[*]}" PDES8_SAMPLES="${pdes8_samples[*]}" \
-    COMMIT1_SAMPLES="${commit1_samples[*]}" COMMIT8_SAMPLES="${commit8_samples[*]}" \
     HOST_CPUS="$(nproc 2>/dev/null || echo 1)" \
     REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     DATE="$(date -u +%F)" \
@@ -129,20 +91,12 @@ import json, os, sys
 eps = max(int(s) for s in os.environ["EPS_SAMPLES"].split())
 ms = min(int(s) for s in os.environ["MS_SAMPLES"].split())
 drain = max(int(s) for s in os.environ["DRAIN_SAMPLES"].split())
-pdes1 = max(int(s) for s in os.environ["PDES1_SAMPLES"].split())
-pdes8 = max(int(s) for s in os.environ["PDES8_SAMPLES"].split())
-commit1 = max(int(s) for s in os.environ["COMMIT1_SAMPLES"].split())
-commit8 = max(int(s) for s in os.environ["COMMIT8_SAMPLES"].split())
 host_cpus = int(os.environ["HOST_CPUS"])
 entry = {
     "rev": os.environ["REV"],
     "date": os.environ["DATE"],
     "engine_events_per_sec": eps,
     "engine_ns_per_iter": round(128_000 / eps * 1e9),
-    "pdes_1shard_elems_per_sec": pdes1,
-    "pdes_8shard_elems_per_sec": pdes8,
-    "commit_1shard_elems_per_sec": commit1,
-    "commit_8shard_elems_per_sec": commit8,
     "host_cpus": host_cpus,
     "drain_frames_per_sec": drain,
     "repro_all_ms": ms,
@@ -168,55 +122,13 @@ if mode == "check":
     if not doc["history"]:
         sys.exit("[bench_sim] --check needs a committed baseline entry")
     base = doc["history"][-1]
-    frac = float(os.environ.get("BENCH_FLOOR", "0.8"))
-    floor = frac * base["engine_events_per_sec"]
-    failed = eps < floor
+    floor = float(os.environ.get("BENCH_FLOOR", "0.8")) * base["engine_events_per_sec"]
     verdict = "ok" if eps >= floor else "REGRESSION"
     print(
         f"[bench_sim] engine: {eps} elem/s vs baseline "
         f"{base['engine_events_per_sec']} ({base['rev']}); "
         f"floor {floor:.0f}: {verdict}"
     )
-    if "pdes_8shard_elems_per_sec" in base:
-        pfloor = frac * base["pdes_8shard_elems_per_sec"]
-        pverdict = "ok" if pdes8 >= pfloor else "REGRESSION"
-        print(
-            f"[bench_sim] pdes 8shard: {pdes8} elem/s vs baseline "
-            f"{base['pdes_8shard_elems_per_sec']}; floor {pfloor:.0f}: {pverdict}"
-        )
-        failed = failed or pdes8 < pfloor
-    if "commit_8shard_elems_per_sec" in base:
-        cfloor = frac * base["commit_8shard_elems_per_sec"]
-        cverdict = "ok" if commit8 >= cfloor else "REGRESSION"
-        print(
-            f"[bench_sim] commit 8shard: {commit8} elem/s vs baseline "
-            f"{base['commit_8shard_elems_per_sec']}; floor {cfloor:.0f}: {cverdict}"
-        )
-        failed = failed or commit8 < cfloor
-    ratio = pdes8 / pdes1
-    cratio = commit8 / commit1
-    if host_cpus >= 8:
-        rverdict = "ok" if ratio >= 3.0 else "SCALING REGRESSION"
-        print(
-            f"[bench_sim] pdes scaling: {ratio:.2f}x at 8 shards "
-            f"({host_cpus} cores, need >= 3.0x): {rverdict}"
-        )
-        failed = failed or ratio < 3.0
-        cverdict = "ok" if cratio >= 2.0 else "SCALING REGRESSION"
-        print(
-            f"[bench_sim] commit scaling: {cratio:.2f}x at 8 shards "
-            f"({host_cpus} cores, need >= 2.0x): {cverdict}"
-        )
-        failed = failed or cratio < 2.0
-    else:
-        print(
-            f"[bench_sim] pdes scaling: {ratio:.2f}x at 8 shards "
-            f"({host_cpus} cores — 3x gate needs >= 8, skipped)"
-        )
-        print(
-            f"[bench_sim] commit scaling: {cratio:.2f}x at 8 shards "
-            f"({host_cpus} cores — 2x gate needs >= 8, skipped)"
-        )
     print(f"[bench_sim] repro all: {ms} ms (baseline {base['repro_all_ms']} ms)")
     if "drain_frames_per_sec" in base:
         print(
@@ -228,7 +140,7 @@ if mode == "check":
     with open("target/BENCH_sim.json", "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
-    if failed:
+    if eps < floor:
         sys.exit(1)
 else:
     doc["history"].append(entry)

@@ -117,36 +117,6 @@ fn recover_suite_is_worker_count_invariant() {
     });
 }
 
-/// Sweep-level worker fan-out (`--jobs`) and intra-run event-heap
-/// sharding (`--shards`, `paragon_sim::pdes`) compose: a sweep run with
-/// both knobs turned up yields the same rows as the serial baseline. The
-/// sharded engine commits in the serial engine's own event order, so this
-/// holds bit-exactly, not just statistically.
-#[test]
-fn sweeps_are_shard_count_invariant() {
-    let machine = m();
-    let ep = EscatParams::small(4, 4);
-    let rp = RenderParams::small(4, 2);
-    let hp = HtfParams::small(4);
-    sio::paragon::set_shards(1);
-    let baseline = experiments::fault_suite_jobs(&machine, &ep, &rp, &hp, 1);
-    let scaling_baseline = experiments::escat_scaling_jobs(&machine, &[4, 8, 16], 1);
-    for shards in [2u32, 8] {
-        sio::paragon::set_shards(shards);
-        assert_eq!(
-            experiments::fault_suite_jobs(&machine, &ep, &rp, &hp, 2),
-            baseline,
-            "fault_suite: shards={shards} diverged from serial"
-        );
-        assert_eq!(
-            experiments::escat_scaling_jobs(&machine, &[4, 8, 16], 2),
-            scaling_baseline,
-            "escat_scaling: shards={shards} diverged from serial"
-        );
-    }
-    sio::paragon::set_shards(0);
-}
-
 /// Interleave many concurrent `run_workload` calls for *different*
 /// configurations and require each to match its isolated serial run —
 /// concurrent runs must never leak events into each other's trace buffers.

@@ -2,16 +2,20 @@
 //! when disabled, must not perturb simulation output when enabled, and must
 //! aggregate to identical totals whatever the sweep worker count.
 //!
-//! The counters are process-global atomics, so every assertion lives in one
-//! `#[test]` — the default parallel test runner would otherwise interleave
-//! submissions from concurrently running tests. This file is its own test
-//! binary, so no other harness shares the process.
+//! The counters are process-global atomics, so every assertion on them
+//! lives in one `#[test]` — the default parallel test runner would otherwise
+//! interleave submissions from concurrently running tests. This file is its
+//! own test binary, so no other harness shares the process; the one other
+//! test here reads a single engine's counters and never submits.
 
 use sio::analysis::experiments;
-use sio::apps::workload::{run_workload, Backend};
+use sio::apps::workload::{run_workload, Backend, BackendSpec, Workload, WATCHDOG_DEADLINE};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
+use sio::core::trace::TraceSink;
 use sio::core::{perf, sddf};
-use sio::paragon::MachineConfig;
+use sio::paragon::mesh::Mesh;
+use sio::paragon::program::{NodeProgram, ScriptProgram};
+use sio::paragon::{Engine, EnginePerf, FaultSchedule, MachineConfig, SimTime};
 
 #[test]
 fn counters_are_silent_when_disabled_inert_when_enabled_and_jobs_invariant() {
@@ -67,4 +71,65 @@ fn counters_are_silent_when_disabled_inert_when_enabled_and_jobs_invariant() {
 
     perf::disable();
     perf::reset();
+}
+
+/// Drive one workload through the engine by hand, as `run_workload_crashable`
+/// does, and return the engine's own counters. Going around `run_workload`
+/// keeps this test off the process-global aggregate the test above owns.
+fn engine_perf(
+    machine: &MachineConfig,
+    workload: &Workload,
+    backend: &BackendSpec,
+    schedule: FaultSchedule,
+) -> EnginePerf {
+    let mut fs = backend.build(machine, TraceSink::new(&workload.label), schedule);
+    for f in &workload.files {
+        fs.register_file(f.clone());
+    }
+    let programs: Vec<Box<dyn NodeProgram>> = workload
+        .scripts
+        .iter()
+        .map(|s| Box::new(ScriptProgram::new(s.clone())) as Box<dyn NodeProgram>)
+        .collect();
+    let mesh = Mesh::for_nodes(machine.compute_nodes, machine.io_nodes);
+    let mut engine = Engine::new(mesh, machine.comm, programs, fs);
+    engine.set_watchdog(WATCHDOG_DEADLINE);
+    for g in &workload.groups {
+        engine.add_group(g.clone());
+    }
+    assert!(engine.run().clean(), "{} did not finish", workload.label);
+    engine.perf()
+}
+
+/// Pins the engine's queue bookkeeping. The golden digests pin traces, not
+/// these counters, so this is what guards a rewrite of the event queue: the
+/// values were recorded from the engine before its heap was last reworked.
+#[test]
+fn engine_counters_are_pinned() {
+    let machine = MachineConfig::tiny(64, 4);
+    let hp = HtfParams::small(64);
+    let degraded = FaultSchedule::all_disks_fail(SimTime::ZERO, machine.io_nodes, 0);
+    let pscf = engine_perf(&machine, &hp.pscf_workload(), &BackendSpec::Pfs, degraded);
+    let escat = engine_perf(
+        &machine,
+        &EscatParams::small(64, 4).workload(),
+        &BackendSpec::Pfs,
+        FaultSchedule::new(),
+    );
+    assert_eq!(
+        pscf,
+        EnginePerf {
+            events: 3033,
+            heap_peak: 402,
+            channel_peak: 0,
+        }
+    );
+    assert_eq!(
+        escat,
+        EnginePerf {
+            events: 4706,
+            heap_peak: 64,
+            channel_peak: 60,
+        }
+    );
 }
