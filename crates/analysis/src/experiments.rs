@@ -781,11 +781,12 @@ pub fn raid_degraded_jobs(machine: &MachineConfig, jobs: usize) -> Vec<RaidRow> 
         let w = sequential_read_kernel(64, 262_144, AccessMode::MUnix);
         let mut fs = Pfs::new(machine, TraceSink::new("raid"));
         for f in &w.files {
-            fs.register(f.clone());
+            fs.core.register(f.clone());
         }
         if degraded {
             for io in 0..machine.io_nodes {
-                fs.fail_disk(io, 0)
+                fs.core
+                    .fail_disk(io, 0)
                     .expect("first failure on a healthy array");
             }
         }
@@ -803,7 +804,7 @@ pub fn raid_degraded_jobs(machine: &MachineConfig, jobs: usize) -> Vec<RaidRow> 
         engine.set_default_watchdog();
         let report = engine.run();
         assert!(report.clean());
-        let trace = engine.into_service().finish_trace();
+        let trace = engine.into_service().core.finish_trace();
         let read_ns: u64 = trace.of_op(IoOp::Read).map(|e| e.duration()).sum();
         RaidRow {
             degraded,

@@ -5,8 +5,8 @@
 //! The workload runner ([`crate::workload::run_workload`] and friends) is
 //! generic over `Box<dyn FsBackend>`: it registers files, runs the engine,
 //! stamps the trace, and harvests counters without knowing which file system
-//! served the run. Adding a backend means implementing [`FsBackend`] (on top
-//! of the `sio-fskit` substrate) and registering a builder — the runner,
+//! served the run. Adding a backend means embedding a [`FsCore`], handing it
+//! out through [`FsBackend::core`], and registering a builder — the runner,
 //! analysis experiments, and `repro` pick it up unchanged.
 
 use paragon_sim::engine::{IoService, Sched};
@@ -15,8 +15,7 @@ use paragon_sim::{FaultSchedule, MachineConfig, NodeId, SimDuration, SimTime};
 use sio_blog::{Blog, BlogParams, BlogStats, DrainBackend};
 use sio_cio::{Cio, CioStats};
 use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::{MetaStats, NodeLoad};
-use sio_pfs::fs::FaultStats;
+use sio_fskit::{FaultStats, FsCore, MetaStats, NodeLoad};
 use sio_pfs::{FileSpec, Pfs};
 use sio_ppfs::{PolicyConfig, Ppfs, PpfsStats};
 
@@ -24,11 +23,24 @@ use sio_ppfs::{PolicyConfig, Ppfs, PpfsStats};
 /// engine's [`IoService`] hooks: file registration, trace plumbing, and the
 /// counters the experiment suites harvest after a run.
 ///
-/// The stats getters default to `None` so a backend only surfaces the
-/// counter families it actually keeps.
+/// Every backend embeds one [`FsCore`]; the provided methods read the
+/// shared state through it. The policy-specific getters default to `None`
+/// so a backend only surfaces the counter families it actually keeps.
 pub trait FsBackend: IoService {
+    /// The substrate this backend runs on (a wrapper tier hands out its
+    /// inner backend's).
+    fn core(&self) -> &FsCore;
+
+    /// Mutable access to the substrate.
+    fn core_mut(&mut self) -> &mut FsCore;
+
+    /// Consume the backend into its substrate.
+    fn into_core(self: Box<Self>) -> FsCore;
+
     /// Register a file; returns its id (registration order = file id).
-    fn register_file(&mut self, spec: FileSpec) -> u32;
+    fn register_file(&mut self, spec: FileSpec) -> u32 {
+        self.core_mut().register(spec)
+    }
 
     /// Declare a file's contents reconstructible from a durable checkpoint
     /// (crash-loss accounting). Default: no-op for backends without
@@ -38,16 +50,24 @@ pub trait FsBackend: IoService {
     }
 
     /// Mutable access to the trace sink (run-info stamping, perf events).
-    fn sink_mut(&mut self) -> &mut TraceSink;
+    fn sink_mut(&mut self) -> &mut TraceSink {
+        self.core_mut().sink_mut()
+    }
 
     /// Consume the backend, freezing its captured trace.
-    fn finish_trace(self: Box<Self>) -> Trace;
+    fn finish_trace(self: Box<Self>) -> Trace {
+        self.into_core().finish_trace()
+    }
 
     /// RAID rebuild work done across all I/O nodes: (chunks, member bytes).
-    fn rebuild_totals(&self) -> (u64, u64);
+    fn rebuild_totals(&self) -> (u64, u64) {
+        self.core().rebuild_totals()
+    }
 
     /// I/O nodes whose arrays are still degraded.
-    fn degraded_nodes(&self) -> u32;
+    fn degraded_nodes(&self) -> u32 {
+        self.core().degraded_nodes()
+    }
 
     /// PPFS policy counters, when this backend keeps them.
     fn ppfs_stats(&self) -> Option<PpfsStats> {
@@ -60,17 +80,16 @@ pub trait FsBackend: IoService {
     }
 
     /// Metadata-server fault counters (replica failovers, parked-RPC
-    /// retries, typed unavailability), when this backend serializes
-    /// metadata through the replicated [`sio_fskit::MetaServer`].
+    /// retries, typed unavailability) of the replicated
+    /// [`sio_fskit::MetaServer`].
     fn meta_stats(&self) -> Option<MetaStats> {
-        None
+        Some(self.core().meta_stats())
     }
 
     /// Accepted-request accounting per I/O node (request counts and byte
-    /// volumes, split by direction). Empty for backends that don't ride the
-    /// shared segment pump.
+    /// volumes, split by direction).
     fn node_loads(&self) -> Vec<NodeLoad> {
-        Vec::new()
+        self.core().node_loads().to_vec()
     }
 
     /// Collective-I/O machinery counters, when this backend keeps them.
@@ -106,7 +125,7 @@ pub trait FsBackend: IoService {
     /// Whether acknowledged data was lost to exhausted redundancy
     /// (surfaced by the log tier as `DataLoss` on the next `Sync`).
     fn any_data_lost(&self) -> bool {
-        false
+        self.core().any_data_lost()
     }
 }
 
@@ -173,36 +192,20 @@ impl IoService for Box<dyn FsBackend> {
 }
 
 impl FsBackend for Pfs {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.register(spec)
+    fn core(&self) -> &FsCore {
+        &self.core
     }
 
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        Pfs::sink_mut(self)
+    fn core_mut(&mut self) -> &mut FsCore {
+        &mut self.core
     }
 
-    fn finish_trace(self: Box<Self>) -> Trace {
-        Pfs::finish_trace(*self)
-    }
-
-    fn rebuild_totals(&self) -> (u64, u64) {
-        (self.rebuild_chunks_total(), self.rebuilt_bytes_total())
-    }
-
-    fn degraded_nodes(&self) -> u32 {
-        Pfs::degraded_nodes(self)
+    fn into_core(self: Box<Self>) -> FsCore {
+        self.core
     }
 
     fn pfs_fault_stats(&self) -> Option<FaultStats> {
-        Some(self.fault_stats())
-    }
-
-    fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Pfs::meta_stats(self))
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Pfs::node_loads(self).to_vec()
+        Some(self.core.fault_stats())
     }
 
     fn submit_drain(
@@ -217,47 +220,27 @@ impl FsBackend for Pfs {
     ) {
         Pfs::submit_drain(self, node, now, file, offset, bytes, token, sched)
     }
-
-    fn any_data_lost(&self) -> bool {
-        Pfs::any_data_lost(self)
-    }
 }
 
 impl FsBackend for Ppfs {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.register(spec)
+    fn core(&self) -> &FsCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut FsCore {
+        &mut self.core
+    }
+
+    fn into_core(self: Box<Self>) -> FsCore {
+        self.core
     }
 
     fn mark_checkpoint_covered(&mut self, file: u32) {
         Ppfs::mark_checkpoint_covered(self, file)
     }
 
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        Ppfs::sink_mut(self)
-    }
-
-    fn finish_trace(self: Box<Self>) -> Trace {
-        Ppfs::finish_trace(*self)
-    }
-
-    fn rebuild_totals(&self) -> (u64, u64) {
-        (self.rebuild_chunks_total(), self.rebuilt_bytes_total())
-    }
-
-    fn degraded_nodes(&self) -> u32 {
-        Ppfs::degraded_nodes(self)
-    }
-
     fn ppfs_stats(&self) -> Option<PpfsStats> {
         Some(self.stats())
-    }
-
-    fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Ppfs::meta_stats(self))
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Ppfs::node_loads(self).to_vec()
     }
 
     fn submit_drain(
@@ -272,59 +255,30 @@ impl FsBackend for Ppfs {
     ) {
         Ppfs::submit_drain(self, node, now, file, offset, bytes, token, sched)
     }
-
-    fn any_data_lost(&self) -> bool {
-        Ppfs::any_data_lost(self)
-    }
 }
 
 impl FsBackend for Cio {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.register(spec)
+    fn core(&self) -> &FsCore {
+        &self.core
     }
 
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        Cio::sink_mut(self)
+    fn core_mut(&mut self) -> &mut FsCore {
+        &mut self.core
     }
 
-    fn finish_trace(self: Box<Self>) -> Trace {
-        Cio::finish_trace(*self)
+    fn into_core(self: Box<Self>) -> FsCore {
+        self.core
     }
 
-    fn rebuild_totals(&self) -> (u64, u64) {
-        (self.rebuild_chunks_total(), self.rebuilt_bytes_total())
-    }
-
-    fn degraded_nodes(&self) -> u32 {
-        Cio::degraded_nodes(self)
-    }
-
-    /// CIO's fault machinery is the same shape as PFS's (both ride the
-    /// buddy-failover pump), so its counters surface through the same getter
-    /// and every fault/recovery harness reads them unchanged.
+    /// CIO's fault machinery is PFS's (both ride the buddy-failover pump),
+    /// so its counters surface through the same getter and every
+    /// fault/recovery harness reads them unchanged.
     fn pfs_fault_stats(&self) -> Option<FaultStats> {
-        let s = self.fault_stats();
-        Some(FaultStats {
-            retries: s.retries,
-            failovers: s.failovers,
-            lost_segments: s.lost_segments,
-            data_loss_segments: s.data_loss_segments,
-            timeouts: s.timeouts,
-            unavailable: s.unavailable,
-            data_loss_events: s.data_loss_events,
-        })
-    }
-
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        Cio::node_loads(self).to_vec()
+        Some(self.core.fault_stats())
     }
 
     fn cio_stats(&self) -> Option<CioStats> {
         Some(Cio::cio_stats(self))
-    }
-
-    fn meta_stats(&self) -> Option<MetaStats> {
-        Some(Cio::meta_stats(self))
     }
 
     fn submit_drain(
@@ -339,38 +293,26 @@ impl FsBackend for Cio {
     ) {
         Cio::submit_drain(self, node, now, file, offset, bytes, token, sched)
     }
-
-    fn any_data_lost(&self) -> bool {
-        Cio::any_data_lost(self)
-    }
 }
 
-/// The log tier over any boxed inner backend is itself a backend: file
-/// registration, counters, and fault surfaces forward to the inner tier;
-/// the wrapper adds its own drain-health counters.
+/// The log tier over any boxed inner backend is itself a backend: the
+/// substrate, counters, and fault surfaces are the inner tier's; the
+/// wrapper adds its own drain-health counters.
 impl FsBackend for Blog<Box<dyn FsBackend>> {
-    fn register_file(&mut self, spec: FileSpec) -> u32 {
-        self.inner_mut().register_file(spec)
+    fn core(&self) -> &FsCore {
+        self.inner().core()
+    }
+
+    fn core_mut(&mut self) -> &mut FsCore {
+        self.inner_mut().core_mut()
+    }
+
+    fn into_core(self: Box<Self>) -> FsCore {
+        (*self).into_inner().into_core()
     }
 
     fn mark_checkpoint_covered(&mut self, file: u32) {
         self.inner_mut().mark_checkpoint_covered(file)
-    }
-
-    fn sink_mut(&mut self) -> &mut TraceSink {
-        self.inner_mut().sink_mut()
-    }
-
-    fn finish_trace(self: Box<Self>) -> Trace {
-        (*self).into_inner().finish_trace()
-    }
-
-    fn rebuild_totals(&self) -> (u64, u64) {
-        self.inner().rebuild_totals()
-    }
-
-    fn degraded_nodes(&self) -> u32 {
-        self.inner().degraded_nodes()
     }
 
     fn ppfs_stats(&self) -> Option<PpfsStats> {
@@ -381,24 +323,12 @@ impl FsBackend for Blog<Box<dyn FsBackend>> {
         self.inner().pfs_fault_stats()
     }
 
-    fn node_loads(&self) -> Vec<NodeLoad> {
-        self.inner().node_loads()
-    }
-
     fn cio_stats(&self) -> Option<CioStats> {
         self.inner().cio_stats()
     }
 
-    fn meta_stats(&self) -> Option<MetaStats> {
-        self.inner().meta_stats()
-    }
-
     fn blog_stats(&self) -> Option<BlogStats> {
         Some(self.stats())
-    }
-
-    fn any_data_lost(&self) -> bool {
-        DrainBackend::any_data_lost(self.inner())
     }
 }
 
@@ -481,8 +411,9 @@ impl BackendSpec {
 pub type BackendFactory =
     Box<dyn Fn(&MachineConfig, TraceSink, FaultSchedule) -> Box<dyn FsBackend>>;
 
-/// Name → builder registry. [`BackendRegistry::builtin`] knows the two
-/// shipped backends (and the tuned PPFS variants); tools and tests that
+/// Name → builder registry. [`BackendRegistry::builtin`] knows the shipped
+/// backends (PFS, the tuned PPFS variants, CIO, and the log tier over each
+/// of the three); tools and tests that
 /// enumerate backends iterate [`BackendRegistry::names`] instead of
 /// hard-coding the list.
 pub struct BackendRegistry {

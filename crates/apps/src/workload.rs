@@ -20,8 +20,9 @@ use sio_blog::BlogStats;
 use sio_cio::CioStats;
 use sio_core::perf;
 use sio_core::trace::{Trace, TraceSink};
+use sio_fskit::FaultStats;
 pub use sio_fskit::{MetaStats, NodeLoad};
-use sio_pfs::{AccessMode, FaultStats, FileSpec};
+use sio_pfs::{AccessMode, FileSpec};
 use sio_ppfs::PpfsStats;
 
 pub use crate::backend::{Backend, BackendSpec, FsBackend};

@@ -1,10 +1,9 @@
 //! The collective two-phase I/O model: a [`paragon_sim::IoService`].
 //!
-//! `Cio` keeps PFS's metadata semantics — opens, creates, closes, and
-//! `lsize` serialize through one [`MetaServer`]; seeks on shared files
-//! serialize at the file's metadata owner; `Sync` commits park until the
-//! file drains — and replaces the *data path* with two-phase collective
-//! transfers:
+//! `Cio` keeps PFS's metadata semantics — opens, creates, closes, `lsize`,
+//! shared-file seeks and `Sync` commits are the embedded [`FsCore`]'s, the
+//! same code PFS runs — and replaces the *data path* with two-phase
+//! collective transfers:
 //!
 //! * **gather** — a data operation on a shared file does not go to the
 //!   I/O nodes; it parks in the file's gather bucket. When every current
@@ -20,7 +19,7 @@
 //!   simulated delay, traced as an `I/O Wait` interval on the lead node.
 //! * **phase 2: aggregated dispatch** — each aggregator issues *one large
 //!   sequential transfer per file domain* through the shared
-//!   [`SegmentPump`] under the buddy-failover policy, so retry, failover,
+//!   segment pump under the buddy-failover policy, so retry, failover,
 //!   crash, and timeout behavior is exactly the substrate's. When the last
 //!   domain lands, every member completes with its own byte count and
 //!   client copy cost; a typed [`IoFault`] on the collective propagates to
@@ -42,27 +41,20 @@
 //! groups cannot park a commit forever; a genuinely absent participant
 //! surfaces as the engine's blocked-node report, not a silent hang.
 
-use paragon_sim::calibration::FaultParams;
 use paragon_sim::engine::{IoService, Sched};
-use paragon_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use paragon_sim::ionode::{RejectReason, SegmentReq};
+use paragon_sim::fault::FaultSchedule;
+use paragon_sim::ionode::SegmentReq;
 use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
-use paragon_sim::{LinkQuality, LinkState, MachineConfig, NodeId, SimDuration, SimTime};
+use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::FastMap;
-use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::file::{FileSpec, FileState};
+use sio_core::trace::TraceSink;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
-use sio_fskit::table::{MetaStats, MetaVerdict};
-use sio_fskit::{
-    FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TimerLanes, TraceRecorder,
-};
+use sio_fskit::pump::{FailoverPolicy, NodeTick};
+use sio_fskit::recorder::data_op_kind;
+use sio_fskit::FsCore;
 
 use crate::partition::{self, Domain, Extent};
-
-pub use sio_fskit::client::ClientPath;
-pub use sio_fskit::config::{FsConfig as CioConfig, DEFAULT_FILE_SLOT};
 
 /// Assumed wire size of one extent descriptor in the phase-1 allgather.
 const DESCRIPTOR_BYTES: u64 = 64;
@@ -146,57 +138,12 @@ pub struct CioStats {
     pub flushed_partial: u64,
 }
 
-/// Counters for the fault-handling machinery (all zero on a healthy run);
-/// the same shape as PFS's, since both ride the buddy-failover pump.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CioFaultStats {
-    /// Segment re-submissions scheduled with backoff.
-    pub retries: u64,
-    /// Segments failed over to the buddy node.
-    pub failovers: u64,
-    /// Segments lost to node crashes (in service or queued).
-    pub lost_segments: u64,
-    /// Segments served from an array with exhausted redundancy.
-    pub data_loss_segments: u64,
-    /// Collectives failed by the hard deadline.
-    pub timeouts: u64,
-    /// Member requests failed because no server would accept them.
-    pub unavailable: u64,
-    /// Second-failure events that exhausted an array's redundancy.
-    pub data_loss_events: u64,
-}
-
-/// A metadata RPC parked by a full metadata outage, awaiting a backoff
-/// retry probe.
-#[derive(Debug, Clone, Copy)]
-struct ParkedMeta {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    op: IoOp,
-    cost: SimDuration,
-    /// Result bytes on success (file length for `Lsize`, 0 otherwise).
-    bytes: u64,
-    issued: SimTime,
-    /// Retry probes already made.
-    attempt: u32,
-}
-
 /// The collective two-phase I/O model.
 pub struct Cio {
-    cfg: CioConfig,
-    /// Segment pump over the I/O nodes (buddy-failover policy).
-    pump: SegmentPump,
-    files: FileTable,
-    recorder: TraceRecorder,
-    /// Global metadata server (replicated; buddy failover under faults).
-    meta: MetaServer,
-    /// Metadata RPCs parked by a full outage (timer id → parked RPC).
-    parked_meta: FastMap<u64, ParkedMeta>,
-    /// Interconnect link quality per I/O-node region (exchange-phase costs).
-    links: LinkState,
-    /// Per-file metadata-owner queues for shared-file seeks.
-    seek_free: Vec<SimTime>,
+    /// The shared substrate: file table, segment pump (buddy-failover
+    /// policy), metadata server, link state for the exchange phase, faults,
+    /// `Sync` ledger, trace.
+    pub core: FsCore,
     /// Per-file gather buckets.
     gather: FastMap<u32, Bucket>,
     /// Collectives waiting out their exchange delay (timer id → group).
@@ -204,21 +151,23 @@ pub struct Cio {
     /// Dispatched collectives (collective id → state).
     collectives: FastMap<u64, Collective>,
     next_coll: u64,
-    /// Timer-id lanes: per-I/O-node completion timers plus the dynamic
-    /// lane (faults, retries, timeouts, exchanges).
-    timers: TimerLanes,
-    /// `Sync` commits parked until their file has no in-flight writes.
-    syncs: SyncLedger,
-    /// Per-node serial client copy path.
-    client: ClientPath,
-    /// Fault-handling calibration (backoff, failover, deadline).
-    fault_params: FaultParams,
-    /// Scheduled fault delivery; inert on a healthy run.
-    faults: FaultRouter,
     /// Armed per-collective deadline timers (timer id → collective id).
     timeout_timers: FastMap<u64, u64>,
-    fault_stats: CioFaultStats,
     stats: CioStats,
+}
+
+/// Whether `file` still has in-flight write traffic a `Sync` must wait
+/// out: a gathered write member, a write collective in its exchange phase,
+/// or aggregated write segments on the I/O nodes.
+fn writes_in_flight(
+    collectives: &FastMap<u64, Collective>,
+    exchange: &FastMap<u64, PendingExchange>,
+    gather: &FastMap<u32, Bucket>,
+    file: u32,
+) -> bool {
+    collectives.values().any(|c| c.file == file && c.write)
+        || exchange.values().any(|x| x.file == file && x.write)
+        || gather.get(&file).is_some_and(|b| !b.writes.is_empty())
 }
 
 impl Cio {
@@ -230,110 +179,23 @@ impl Cio {
     /// Build a CIO with an injected fault schedule. An empty schedule is
     /// exactly [`Cio::new`]: no timers armed, bit-identical healthy runs.
     pub fn with_faults(machine: &MachineConfig, sink: TraceSink, schedule: FaultSchedule) -> Cio {
-        let cfg = CioConfig::from_machine(machine);
-        let ionodes = machine.build_io_nodes();
-        let faults = FaultRouter::new(schedule, ionodes.len());
-        let timers = TimerLanes::new(ionodes.len());
-        let links = LinkState::healthy(ionodes.len());
-        let pump = SegmentPump::new(
-            ionodes,
-            FailoverPolicy::Buddy {
-                max_retries: machine.fault.max_retries,
-            },
-            machine.fault.retry_base,
-        );
-        let files = FileTable::new(cfg.file_slot, cfg.array_capacity);
+        let failover = FailoverPolicy::Buddy {
+            max_retries: machine.fault.max_retries,
+        };
         Cio {
-            cfg,
-            pump,
-            files,
-            recorder: TraceRecorder::new(sink),
-            meta: MetaServer::new(),
-            parked_meta: FastMap::default(),
-            links,
-            seek_free: Vec::new(),
+            core: FsCore::new(machine, sink, schedule, failover, 0),
             gather: FastMap::default(),
             exchange: FastMap::default(),
             collectives: FastMap::default(),
             next_coll: 0,
-            timers,
-            syncs: SyncLedger::new(),
-            client: ClientPath::new(),
-            fault_params: machine.fault,
-            faults,
             timeout_timers: FastMap::default(),
-            fault_stats: CioFaultStats::default(),
             stats: CioStats::default(),
         }
-    }
-
-    fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
-    }
-
-    /// Register a file; returns its id (used in [`IoRequest::file`]).
-    pub fn register(&mut self, spec: FileSpec) -> u32 {
-        let id = self.files.register(spec);
-        self.seek_free.push(SimTime::ZERO);
-        id
-    }
-
-    /// Register a file, returning [`IoFault::Unavailable`] when the
-    /// fixed-slot allocator is exhausted.
-    pub fn try_register(&mut self, spec: FileSpec) -> Result<u32, IoFault> {
-        let id = self.files.try_register(spec)?;
-        self.seek_free.push(SimTime::ZERO);
-        Ok(id)
-    }
-
-    /// Current length of a registered file.
-    pub fn file_len(&self, file: u32) -> u64 {
-        self.files.len_of(file)
-    }
-
-    /// Mutable access to the trace sink (e.g. to set run metadata).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        self.recorder.sink_mut()
-    }
-
-    /// Consume the file system, freezing its captured trace.
-    pub fn finish_trace(self) -> Trace {
-        self.recorder.finish()
     }
 
     /// Collective-machinery counters.
     pub fn cio_stats(&self) -> CioStats {
         self.stats
-    }
-
-    /// Metadata fault-machinery counters (all zero on a healthy run).
-    pub fn meta_stats(&self) -> MetaStats {
-        self.meta.stats()
-    }
-
-    /// Fault-machinery counters (all zero on a healthy run).
-    pub fn fault_stats(&self) -> CioFaultStats {
-        let mut s = self.fault_stats;
-        let p = self.pump.stats();
-        s.retries += p.retries;
-        s.failovers += p.failovers;
-        s
-    }
-
-    /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> &[NodeLoad] {
-        self.pump.node_loads()
-    }
-
-    /// Rebuild chunks completed across all I/O nodes.
-    pub fn rebuild_chunks_total(&self) -> u64 {
-        self.pump.rebuild_chunks_total()
-    }
-
-    /// Whether any accepted write was served by an array with exhausted
-    /// redundancy (acknowledged data is gone).
-    pub fn any_data_lost(&self) -> bool {
-        self.pump.any_data_lost()
     }
 
     /// Submit a burst-log drain extent: a singleton asynchronous write
@@ -353,7 +215,7 @@ impl Cio {
         token: IoToken,
         sched: &mut Sched,
     ) {
-        self.state(file).extend_to(offset + bytes);
+        self.core.files.state(file).extend_to(offset + bytes);
         if bytes == 0 {
             sched.complete_io(
                 token,
@@ -376,7 +238,7 @@ impl Cio {
             bytes,
         }];
         let extents = [Extent { offset, bytes }];
-        let domains = partition::partition(&self.cfg.layout, &extents);
+        let domains = partition::partition(&self.core.cfg.layout, &extents);
         self.dispatch_collective(
             now,
             PendingExchange {
@@ -387,91 +249,6 @@ impl Cio {
             },
             sched,
         );
-    }
-
-    /// Member bytes rebuilt across all I/O nodes.
-    pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.pump.rebuilt_bytes_total()
-    }
-
-    /// I/O nodes whose arrays are still degraded.
-    pub fn degraded_nodes(&self) -> u32 {
-        self.pump.degraded_nodes()
-    }
-
-    /// Sum of queueing delay accumulated across all I/O nodes.
-    pub fn total_queueing(&self) -> SimDuration {
-        self.pump.total_queueing()
-    }
-
-    /// Total stripe segments completed across all I/O nodes.
-    pub fn segments_completed(&self) -> u64 {
-        self.pump.segments_completed()
-    }
-
-    fn state(&mut self, file: u32) -> &mut FileState {
-        self.files.state(file)
-    }
-
-    fn record(&mut self, ev: IoEvent) {
-        self.recorder.record(ev);
-    }
-
-    /// Whether `file` still has in-flight write traffic a `Sync` must wait
-    /// out: a gathered write member, a write collective in its exchange
-    /// phase, or aggregated write segments on the I/O nodes.
-    fn has_outstanding_writes(&self, file: u32) -> bool {
-        self.collectives.values().any(|c| c.file == file && c.write)
-            || self.exchange.values().any(|x| x.file == file && x.write)
-            || self.gather.get(&file).is_some_and(|b| !b.writes.is_empty())
-    }
-
-    /// Acknowledge a commit (flush cost plus a typed `DataLoss` fault when
-    /// redundancy is exhausted somewhere under the file).
-    fn complete_sync(
-        &mut self,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        now: SimTime,
-        issued: SimTime,
-        sched: &mut Sched,
-    ) {
-        let fault = if self.pump.any_data_lost() {
-            Some(IoFault::DataLoss)
-        } else {
-            None
-        };
-        self.recorder.complete_commit(
-            sched,
-            token,
-            node,
-            file,
-            issued,
-            now,
-            self.cfg.io_sw.flush,
-            fault,
-        );
-    }
-
-    /// Release every `Sync` waiter on `file` once its last in-flight write
-    /// has finished (or failed).
-    fn drain_sync_waiters(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        if self.syncs.is_empty() || self.has_outstanding_writes(file) {
-            return;
-        }
-        for w in self.syncs.take_for(file) {
-            self.complete_sync(w.token, w.node, w.file, now, w.issued, sched);
-        }
-    }
-
-    /// The trace/result op kind of a member.
-    fn op_of(write: bool, is_async: bool) -> IoOp {
-        match (write, is_async) {
-            (true, _) => IoOp::Write,
-            (false, false) => IoOp::Read,
-            (false, true) => IoOp::AsyncRead,
-        }
     }
 
     /// Complete one member with a zero-byte short software path (nothing
@@ -485,9 +262,9 @@ impl Cio {
         sched: &mut Sched,
     ) {
         let done = now + SimDuration::from_micros(200);
-        let op = Cio::op_of(write, m.is_async);
+        let op = data_op_kind(write, m.is_async);
         if !m.is_async {
-            self.record(
+            self.core.recorder.record(
                 IoEvent::new(m.node, file, op)
                     .span(m.issued.nanos(), done.nanos())
                     .extent(m.offset, 0),
@@ -505,18 +282,27 @@ impl Cio {
         );
     }
 
+    /// Release the `Sync` waiters on `file` if its last in-flight write
+    /// just finished.
+    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
+        let (collectives, exchange, gather) = (&self.collectives, &self.exchange, &self.gather);
+        self.core.drain_sync_waiters(file, now, sched, || {
+            writes_in_flight(collectives, exchange, gather, file)
+        });
+    }
+
     /// Fail every member of a collective with a typed fault.
     fn fail_collective(&mut self, cid: u64, fault: IoFault, now: SimTime, sched: &mut Sched) {
         let Some(c) = self.collectives.remove(&cid) else {
             return;
         };
         for id in &c.seg_ids {
-            self.pump.forget(*id);
+            self.core.pump.forget(*id);
         }
-        let op = Cio::op_of(c.write, false);
+        let op = data_op_kind(c.write, false);
         for m in &c.members {
             if !m.is_async {
-                self.record(
+                self.core.recorder.record(
                     IoEvent::new(m.node, c.file, op)
                         .span(m.issued.nanos(), now.nanos())
                         .extent(m.offset, 0),
@@ -533,19 +319,19 @@ impl Cio {
                 },
             );
         }
-        self.drain_sync_waiters(c.file, now, sched);
+        self.drain_syncs(c.file, now, sched);
     }
 
     /// Complete a finished collective: every member pays its own client
     /// copy cost and reports its own byte count; a collective-level fault
     /// (redundancy-exhausted array) reaches every member.
     fn finish_collective(&mut self, c: Collective, now: SimTime, sched: &mut Sched) {
-        let rate = self.cfg.io_sw.client_byte_rate;
-        let op = Cio::op_of(c.write, false);
+        let rate = self.core.cfg.io_sw.client_byte_rate;
+        let op = data_op_kind(c.write, false);
         for m in &c.members {
-            let done = self.client.copy_done(m.node, now, m.bytes, rate);
+            let done = self.core.client.copy_done(m.node, now, m.bytes, rate);
             if !m.is_async {
-                self.record(
+                self.core.recorder.record(
                     IoEvent::new(m.node, c.file, op)
                         .span(m.issued.nanos(), done.nanos())
                         .extent(m.offset, m.bytes),
@@ -562,7 +348,7 @@ impl Cio {
                 },
             );
         }
-        self.drain_sync_waiters(c.file, now, sched);
+        self.drain_syncs(c.file, now, sched);
     }
 
     /// Push one aggregated segment through the pump; when both the primary
@@ -575,15 +361,16 @@ impl Cio {
         attempt: u32,
         sched: &mut Sched,
     ) {
-        if let Some(cid) = self
-            .pump
-            .submit_seg(now, io, req, attempt, &mut self.timers, sched)
+        if let Some(cid) =
+            self.core
+                .pump
+                .submit_seg(now, io, req, attempt, &mut self.core.timers, sched)
         {
             let members = self
                 .collectives
                 .get(&cid)
                 .map_or(1, |c| c.members.len() as u64);
-            self.fault_stats.unavailable += members;
+            self.core.stats.unavailable += members;
             self.fail_collective(cid, IoFault::Unavailable, now, sched);
         }
     }
@@ -596,18 +383,19 @@ impl Cio {
             members,
             domains,
         } = x;
-        let slot_base = self.files.slot_base(file);
+        let slot_base = self.core.files.slot_base(file);
+        let capacity = self.core.cfg.array_capacity;
         if domains
             .iter()
-            .any(|d| slot_base + d.local_offset + d.bytes > self.cfg.array_capacity)
+            .any(|d| slot_base + d.local_offset + d.bytes > capacity)
         {
             // The aggregate overflows its allocator slot: a typed data-path
             // failure on every member, not a crash of the run.
-            self.fault_stats.unavailable += members.len() as u64;
-            let op = Cio::op_of(write, false);
+            self.core.stats.unavailable += members.len() as u64;
+            let op = data_op_kind(write, false);
             for m in &members {
                 if !m.is_async {
-                    self.record(
+                    self.core.recorder.record(
                         IoEvent::new(m.node, file, op)
                             .span(m.issued.nanos(), now.nanos())
                             .extent(m.offset, 0),
@@ -624,7 +412,7 @@ impl Cio {
                     },
                 );
             }
-            self.drain_sync_waiters(file, now, sched);
+            self.drain_syncs(file, now, sched);
             return;
         }
         let cid = self.next_coll;
@@ -633,6 +421,7 @@ impl Cio {
         let mut seg_ids = Vec::with_capacity(domains.len());
         for d in &domains {
             let req = self
+                .core
                 .pump
                 .stage_seg(slot_base + d.local_offset, d.bytes, write, cid);
             seg_ids.push(req.id);
@@ -653,12 +442,12 @@ impl Cio {
         for (io, req) in reqs {
             self.submit_or_fail(now, io, req, 0, sched);
         }
-        if self.faults_enabled() && self.collectives.contains_key(&cid) {
+        if self.core.faults.enabled() && self.collectives.contains_key(&cid) {
             // Hard deadline: no collective hangs forever under a fault
             // schedule with no recovery.
-            let id = self.timers.alloc();
+            let id = self.core.timers.alloc();
             self.timeout_timers.insert(id, cid);
-            sched.timer(now + self.fault_params.request_timeout, id);
+            sched.timer(now + self.core.fault_params.request_timeout, id);
         }
     }
 
@@ -680,7 +469,7 @@ impl Cio {
         parts.sort_unstable();
         parts.dedup();
         let p = parts.len();
-        if forced && p < self.files.get(file).opener_count() {
+        if forced && p < self.core.files.get(file).opener_count() {
             self.stats.flushed_partial += 1;
         }
 
@@ -704,13 +493,13 @@ impl Cio {
                 }
             }
             OffsetSpec::Ordered => {
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 st.participants();
                 let mut ordered = members.clone();
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 ordered.sort_by_key(|m| st.rank_of(m.node));
                 for m in ordered {
-                    let st = self.state(file);
+                    let st = self.core.files.state(file);
                     let offset = st.shared_pos;
                     st.shared_pos += m.bytes;
                     resolved.push(RMember {
@@ -726,7 +515,7 @@ impl Cio {
             OffsetSpec::Same => {
                 let bytes = members[0].bytes;
                 debug_assert!(members.iter().all(|m| m.bytes == bytes));
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let offset = st.shared_pos;
                 st.shared_pos += bytes;
                 for m in &members {
@@ -747,11 +536,11 @@ impl Cio {
         let mut live: Vec<RMember> = Vec::with_capacity(resolved.len());
         for mut m in resolved {
             if write {
-                self.state(file).extend_to(m.offset + m.bytes);
+                self.core.files.state(file).extend_to(m.offset + m.bytes);
             } else {
                 m.bytes = m
                     .bytes
-                    .min(self.files.len_of(file).saturating_sub(m.offset));
+                    .min(self.core.files.len_of(file).saturating_sub(m.offset));
             }
             if m.bytes == 0 {
                 self.complete_empty_member(file, write, m, now, sched);
@@ -760,7 +549,7 @@ impl Cio {
             }
         }
         if live.is_empty() {
-            self.drain_sync_waiters(file, now, sched);
+            self.drain_syncs(file, now, sched);
             return;
         }
 
@@ -772,7 +561,7 @@ impl Cio {
                 bytes: m.bytes,
             })
             .collect();
-        let domains = partition::partition(&self.cfg.layout, &extents);
+        let domains = partition::partition(&self.core.cfg.layout, &extents);
 
         if p <= 1 {
             // Solo opener: a singleton collective has nothing to exchange.
@@ -797,9 +586,11 @@ impl Cio {
         // Descriptor allgather touches every region, so it pays the worst
         // link quality in force; a healthy link state is bit-identical to
         // the plain broadcast.
-        let descriptors = self.cfg.mesh.broadcast_time_via(
-            &self.cfg.comm,
-            self.links.worst(),
+        let cfg = &self.core.cfg;
+        let links = &self.core.links;
+        let descriptors = cfg.mesh.broadcast_time_via(
+            &cfg.comm,
+            links.worst(),
             p as u32,
             DESCRIPTOR_BYTES * members.len() as u64,
         );
@@ -815,11 +606,11 @@ impl Cio {
                     bytes: m.bytes,
                 });
                 if ov > 0 {
-                    let hops = self.cfg.mesh.compute_hops(m.node, aggregator);
+                    let hops = cfg.mesh.compute_hops(m.node, aggregator);
                     // The shuffle message lands in the domain's I/O-node
                     // region: it pays that region's link quality.
-                    let q = self.links.region(d.io_node);
-                    shuffle = shuffle.max(self.cfg.mesh.msg_time_via(&self.cfg.comm, q, hops, ov));
+                    let q = links.region(d.io_node);
+                    shuffle = shuffle.max(cfg.mesh.msg_time_via(&cfg.comm, q, hops, ov));
                 }
             }
         }
@@ -839,7 +630,7 @@ impl Cio {
             .min()
             .unwrap_or(0);
         let total: u64 = domains.iter().map(|d| d.bytes).sum();
-        self.record(
+        self.core.recorder.record(
             IoEvent::new(parts[0], file, IoOp::IoWait)
                 .span(now.nanos(), ready.nanos())
                 .extent(union_lo, total),
@@ -852,7 +643,7 @@ impl Cio {
             domains,
         };
         if ready > now {
-            let id = self.timers.alloc();
+            let id = self.core.timers.alloc();
             self.exchange.insert(id, pending);
             sched.timer(ready, id);
         } else {
@@ -870,7 +661,7 @@ impl Cio {
         now: SimTime,
         sched: &mut Sched,
     ) {
-        let openers = self.files.get(file).opener_count();
+        let openers = self.core.files.get(file).opener_count();
         let Some(bucket) = self.gather.get_mut(&file) else {
             return;
         };
@@ -894,148 +685,6 @@ impl Cio {
         self.form_collective(file, write, taken, forced, now, sched);
     }
 
-    /// Apply one scheduled fault event.
-    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) {
-        match ev.kind {
-            FaultKind::DiskFail { disk } => {
-                if self.pump.apply_disk_fail(ev.io_node, disk) {
-                    self.fault_stats.data_loss_events += 1;
-                }
-            }
-            FaultKind::DiskRepair => self.pump.apply_disk_repair(now, ev.io_node, sched),
-            FaultKind::NodeStall { for_dur } => {
-                self.pump.apply_stall(now, ev.io_node, for_dur, sched)
-            }
-            FaultKind::NodeCrash => {
-                let lost = self.pump.crash(ev.io_node);
-                self.fault_stats.lost_segments += lost.len() as u64;
-                for req in lost {
-                    if self.pump.owns(req.id) {
-                        if let Some(cid) = self.pump.handle_rejection(
-                            now,
-                            ev.io_node,
-                            req,
-                            0,
-                            RejectReason::Down,
-                            &mut self.timers,
-                            sched,
-                        ) {
-                            let members = self
-                                .collectives
-                                .get(&cid)
-                                .map_or(1, |c| c.members.len() as u64);
-                            self.fault_stats.unavailable += members;
-                            self.fail_collective(cid, IoFault::Unavailable, now, sched);
-                        }
-                    }
-                }
-            }
-            FaultKind::NodeRecover => self.pump.recover(now, ev.io_node, sched),
-            FaultKind::LinkDegrade { bw_div, lat_mult } => {
-                // Data-path segments into the region's I/O node stretch by
-                // the bandwidth divisor; the exchange phase consults the
-                // region's quality through the link state.
-                self.pump.apply_link_degrade(ev.io_node, bw_div);
-                self.links
-                    .degrade(ev.io_node, LinkQuality { bw_div, lat_mult });
-            }
-            FaultKind::LinkHeal => {
-                self.pump.apply_link_heal(ev.io_node);
-                self.links.heal(ev.io_node);
-            }
-            FaultKind::MetaStall { for_dur } => self.meta.stall(now, ev.io_node, for_dur),
-            FaultKind::MetaCrash => self.meta.crash(ev.io_node),
-            FaultKind::MetaRecover => self.meta.recover(ev.io_node),
-        }
-    }
-
-    /// Serve a metadata RPC through the replicated server, parking it with
-    /// bounded backoff retries when both replicas are down. A healthy run
-    /// never parks, so this is bit-identical to the historical direct path.
-    #[allow(clippy::too_many_arguments)]
-    fn meta_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        op: IoOp,
-        cost: SimDuration,
-        bytes: u64,
-        sched: &mut Sched,
-    ) {
-        match self.meta.try_op(now, cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder
-                    .complete_op(sched, token, node, file, op, now, done, None, bytes);
-            }
-            MetaVerdict::Outage => {
-                let parked = ParkedMeta {
-                    token,
-                    node,
-                    file,
-                    op,
-                    cost,
-                    bytes,
-                    issued: now,
-                    attempt: 0,
-                };
-                self.park_meta(now, parked, sched);
-            }
-        }
-    }
-
-    /// Arm one backoff retry probe for a parked metadata RPC.
-    fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
-        self.meta.note_retry();
-        let id = self.timers.alloc();
-        self.parked_meta.insert(id, parked);
-        sched.timer(
-            now + backoff_delay(self.fault_params.retry_base, parked.attempt),
-            id,
-        );
-    }
-
-    /// A parked metadata RPC's retry timer fired: re-probe the replicas,
-    /// park again while the retry budget lasts, then surface the outage as
-    /// a typed [`IoFault::Unavailable`] — never hang.
-    fn retry_meta(&mut self, now: SimTime, mut parked: ParkedMeta, sched: &mut Sched) {
-        match self.meta.try_op(now, parked.cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder.complete_op(
-                    sched,
-                    parked.token,
-                    parked.node,
-                    parked.file,
-                    parked.op,
-                    parked.issued,
-                    done,
-                    None,
-                    parked.bytes,
-                );
-            }
-            MetaVerdict::Outage => {
-                if parked.attempt < self.fault_params.max_retries {
-                    parked.attempt += 1;
-                    self.park_meta(now, parked, sched);
-                } else {
-                    self.meta.note_unavailable();
-                    self.fault_stats.unavailable += 1;
-                    self.recorder.fail_op(
-                        sched,
-                        parked.token,
-                        parked.node,
-                        parked.file,
-                        parked.op,
-                        parked.issued,
-                        now,
-                        IoFault::Unavailable,
-                    );
-                }
-            }
-        }
-    }
-
     /// Gather a data operation according to the file's mode, then check
     /// the collective trigger.
     #[allow(clippy::too_many_arguments)]
@@ -1050,15 +699,16 @@ impl Cio {
         sched: &mut Sched,
     ) {
         let file = req.file;
-        let mode = self.files.get(file).mode.unwrap_or_else(|| {
+        let files = &self.core.files;
+        let mode = files.get(file).mode.unwrap_or_else(|| {
             panic!(
                 "data op on closed file {} by node {node}",
-                self.files.get(file).spec.name
+                files.get(file).spec.name
             )
         });
         let spec = match mode {
             AccessMode::MUnix | AccessMode::MAsync => {
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let pos = st.pos.entry(node).or_insert(0);
                 let offset = req.offset.unwrap_or(*pos);
                 *pos = offset + req.bytes;
@@ -1068,7 +718,7 @@ impl Cio {
                 OffsetSpec::At(offset)
             }
             AccessMode::MRecord => {
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let rs = *st.record_size.get_or_insert(req.bytes);
                 assert_eq!(
                     req.bytes, rs,
@@ -1085,7 +735,7 @@ impl Cio {
             AccessMode::MLog => {
                 // The exchange orders the group; the shared pointer
                 // advances in arrival order with no token serialization.
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let offset = st.shared_pos;
                 st.shared_pos += req.bytes;
                 OffsetSpec::At(offset)
@@ -1099,10 +749,10 @@ impl Cio {
         if is_async {
             let resolved = match spec {
                 OffsetSpec::At(o) => o,
-                OffsetSpec::Ordered | OffsetSpec::Same => self.files.get(file).shared_pos,
+                OffsetSpec::Ordered | OffsetSpec::Same => self.core.files.get(file).shared_pos,
             };
-            let issue_end = now + self.cfg.io_sw.async_issue;
-            self.record(
+            let issue_end = now + self.core.cfg.io_sw.async_issue;
+            self.core.recorder.record(
                 IoEvent::new(node, file, IoOp::AsyncRead)
                     .span(now.nanos(), issue_end.nanos())
                     .extent(resolved, req.bytes),
@@ -1136,98 +786,39 @@ impl IoService for Cio {
         is_async: bool,
         sched: &mut Sched,
     ) {
+        let file = req.file;
         match req.verb {
             IoVerb::Open => {
                 let mode = AccessMode::from_code(req.hint)
                     .unwrap_or_else(|| panic!("bad access-mode code {}", req.hint));
-                let create = self.state(req.file).open(node, mode);
-                let cost = if create {
-                    self.cfg.io_sw.create
-                } else {
-                    self.cfg.io_sw.open
-                };
-                self.meta_op(now, token, node, req.file, IoOp::Open, cost, 0, sched);
+                self.core.open(now, token, node, file, mode, sched);
             }
             IoVerb::Close => {
-                self.state(req.file).close(node);
+                self.core.files.state(file).close(node);
                 // The membership a collective waits for just shrank: a
                 // bucket the remaining openers have all contributed to can
                 // now go.
-                self.try_trigger(req.file, true, false, now, sched);
-                self.try_trigger(req.file, false, false, now, sched);
-                let cost = self.cfg.io_sw.close;
-                self.meta_op(now, token, node, req.file, IoOp::Close, cost, 0, sched);
+                self.try_trigger(file, true, false, now, sched);
+                self.try_trigger(file, false, false, now, sched);
+                let cost = self.core.cfg.io_sw.close;
+                self.core
+                    .meta_op(now, token, node, file, IoOp::Close, cost, 0, sched);
             }
             IoVerb::Seek => {
+                // Collective I/O does not change the metadata path: shared
+                // seeks serialize at the file's metadata owner, as on PFS.
                 let target = req.offset.expect("seek needs an offset");
-                let shared = self.state(req.file).opener_count() > 1;
-                let (done, distance) = if shared {
-                    // Serialized at the file's metadata owner (PFS
-                    // semantics: collective I/O does not change the
-                    // metadata path).
-                    let cost = self.cfg.io_sw.seek_shared_rpc;
-                    let free = &mut self.seek_free[req.file as usize];
-                    let start = (*free).max(now);
-                    let done = start + cost;
-                    *free = done;
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (done, distance)
-                } else {
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (now + self.cfg.io_sw.seek_local, distance)
-                };
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Seek,
-                    now,
-                    done,
-                    Some((target, distance)),
-                    0,
-                );
+                self.core.seek(now, token, node, file, target, sched);
             }
-            IoVerb::Flush => {
-                let done = now + self.cfg.io_sw.flush;
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Flush,
-                    now,
-                    done,
-                    None,
-                    0,
-                );
-            }
-            IoVerb::Lsize => {
-                let cost = self.cfg.io_sw.lsize;
-                let len = self.file_len(req.file);
-                self.meta_op(now, token, node, req.file, IoOp::Lsize, cost, len, sched);
-            }
+            IoVerb::Flush => self.core.flush(now, token, node, file, sched),
+            IoVerb::Lsize => self.core.lsize(now, token, node, file, sched),
             IoVerb::Sync => {
                 // A commit must not park behind members that will never
                 // trigger: force-flush the file's write gather first, then
                 // wait out whatever is actually in flight.
-                self.try_trigger(req.file, true, true, now, sched);
-                if self.has_outstanding_writes(req.file) {
-                    self.syncs.park(SyncWaiter {
-                        token,
-                        node,
-                        file: req.file,
-                        issued: now,
-                    });
-                } else {
-                    self.complete_sync(token, node, req.file, now, now, sched);
-                }
+                self.try_trigger(file, true, true, now, sched);
+                let busy = writes_in_flight(&self.collectives, &self.exchange, &self.gather, file);
+                self.core.sync(now, token, node, file, busy, sched);
             }
             IoVerb::Read => self.data_op(now, token, node, req, false, is_async, sched),
             IoVerb::Write => self.data_op(now, token, node, req, true, is_async, sched),
@@ -1235,30 +826,26 @@ impl IoService for Cio {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        self.faults.arm_all(&mut self.timers, sched);
+        self.core.faults.arm_all(&mut self.core.timers, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
-            match self.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => debug_assert!(
-                    self.faults_enabled(),
-                    "stale i/o-node timer on a healthy run"
-                ),
+        if self.core.timers.is_node_timer(timer) {
+            let faults = self.core.faults.enabled();
+            match self.core.pump.node_tick(now, timer, sched) {
+                NodeTick::Stale => debug_assert!(faults, "stale i/o-node timer on a healthy run"),
                 NodeTick::Rebuild => {}
-                NodeTick::Orphan => {
-                    debug_assert!(self.faults_enabled(), "segment with no owner")
-                }
+                NodeTick::Orphan => debug_assert!(faults, "segment with no owner"),
                 NodeTick::Seg {
                     owner: cid,
                     data_lost,
                 } => {
                     let Some(c) = self.collectives.get_mut(&cid) else {
-                        debug_assert!(self.faults_enabled(), "collective missing");
+                        debug_assert!(faults, "collective missing");
                         return;
                     };
                     if data_lost {
-                        self.fault_stats.data_loss_segments += 1;
+                        self.core.stats.data_loss_segments += 1;
                         c.fault = Some(IoFault::DataLoss);
                     }
                     c.segs_left -= 1;
@@ -1271,21 +858,31 @@ impl IoService for Cio {
                     }
                 }
             }
-        } else if let Some(ev) = self.faults.take(timer) {
-            self.apply_fault(now, ev, sched);
-        } else if let Some(r) = self.pump.take_retry(timer) {
+        } else if let Some(ev) = self.core.faults.take(timer) {
+            // Only a node crash hands back segments: they take the buddy
+            // failover chain, and a collective no server accepts fails
+            // typed on every member.
+            for req in self.core.apply_fault(now, ev, sched) {
+                if let Some(cid) = self.core.reject_lost(now, ev.io_node, req, sched) {
+                    let members = self
+                        .collectives
+                        .get(&cid)
+                        .map_or(1, |c| c.members.len() as u64);
+                    self.core.stats.unavailable += members;
+                    self.fail_collective(cid, IoFault::Unavailable, now, sched);
+                }
+            }
+        } else if let Some(r) = self.core.pump.take_retry(timer) {
             // Retry only while the owning collective is still alive.
-            if self.pump.owns(r.req.id) {
+            if self.core.pump.owns(r.req.id) {
                 self.submit_or_fail(now, r.io, r.req, r.attempt, sched);
             }
         } else if let Some(cid) = self.timeout_timers.remove(&timer) {
             if self.collectives.contains_key(&cid) {
-                self.fault_stats.timeouts += 1;
+                self.core.stats.timeouts += 1;
                 self.fail_collective(cid, IoFault::Timeout, now, sched);
             }
-        } else if let Some(parked) = self.parked_meta.remove(&timer) {
-            self.retry_meta(now, parked, sched);
-        } else {
+        } else if !self.core.retry_meta(now, timer, sched) {
             // Phase-1 exchange complete: dispatch the collective.
             let x = self.exchange.remove(&timer).expect("unknown timer");
             self.dispatch_collective(now, x, sched);
@@ -1293,11 +890,11 @@ impl IoService for Cio {
     }
 
     fn issue_cost(&self, _node: NodeId, _req: &IoRequest) -> SimDuration {
-        self.cfg.io_sw.async_issue
+        self.core.cfg.io_sw.async_issue
     }
 
     fn on_iowait(&mut self, node: NodeId, file: u32, wait_start: SimTime, wait_end: SimTime) {
-        self.recorder.iowait(node, file, wait_start, wait_end);
+        self.core.recorder.iowait(node, file, wait_start, wait_end);
     }
 }
 
@@ -1308,6 +905,7 @@ mod tests {
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
     use paragon_sim::Engine;
     use sio_core::trace::Trace;
+    use sio_fskit::file::FileSpec;
 
     fn run_engine(
         machine: &MachineConfig,
@@ -1316,7 +914,7 @@ mod tests {
     ) -> (Engine<Cio>, paragon_sim::EngineReport) {
         let mut cio = Cio::new(machine, TraceSink::new("test"));
         for f in files {
-            cio.register(f);
+            cio.core.register(f);
         }
         let programs: Vec<Box<dyn NodeProgram>> = scripts
             .into_iter()
@@ -1337,9 +935,10 @@ mod tests {
     ) -> (Trace, paragon_sim::EngineReport) {
         let (engine, report) = run_engine(machine, files, scripts);
         let mut cio = engine.into_service();
-        cio.sink_mut()
+        cio.core
+            .sink_mut()
             .set_run_info(machine.compute_nodes, report.wall.nanos());
-        (cio.finish_trace(), report)
+        (cio.core.finish_trace(), report)
     }
 
     fn machine() -> MachineConfig {
@@ -1364,7 +963,7 @@ mod tests {
         assert_eq!(stats.singletons, 2);
         assert_eq!(stats.collectives, 0);
         assert_eq!(stats.exchange, SimDuration::ZERO);
-        let trace = engine.into_service().finish_trace();
+        let trace = engine.into_service().core.finish_trace();
         assert_eq!(trace.of_op(IoOp::Write).count(), 1);
         assert_eq!(trace.of_op(IoOp::Read).next().unwrap().bytes, 100_000);
         // Solo collectives have nothing to exchange: no I/O-wait interval.
@@ -1396,14 +995,14 @@ mod tests {
         assert_eq!(stats.members, 4);
         assert_eq!(stats.aggregated_extents, 2);
         assert!(stats.exchange > SimDuration::ZERO);
-        assert_eq!(engine.service().segments_completed(), 2);
-        let loads = engine.service().node_loads();
+        assert_eq!(engine.service().core.pump.segments_completed(), 2);
+        let loads = engine.service().core.node_loads();
         assert_eq!(loads.len(), 2);
         for l in loads {
             assert_eq!(l.write_reqs, 1, "one aggregated request per node");
             assert_eq!(l.write_bytes, 64 * 1024);
         }
-        let trace = engine.into_service().finish_trace();
+        let trace = engine.into_service().core.finish_trace();
         // Every member still sees its own 32 KB write at its own offset.
         let mut writes: Vec<(u64, u64)> = trace
             .of_op(IoOp::Write)
@@ -1434,7 +1033,7 @@ mod tests {
             (0..4).map(mk).collect(),
         );
         let exchange = engine.service().cio_stats().exchange;
-        let trace = engine.into_service().finish_trace();
+        let trace = engine.into_service().core.finish_trace();
         let waits: Vec<_> = trace.of_op(IoOp::IoWait).collect();
         assert_eq!(waits.len(), 1);
         assert_eq!(waits[0].node, 0, "exchange traced on the lead member");
@@ -1484,8 +1083,8 @@ mod tests {
         ];
         let (engine, _) = run_engine(&machine(), vec![FileSpec::output("f")], vec![s0, s1]);
         assert_eq!(engine.service().cio_stats().flushed_partial, 1);
-        assert_eq!(engine.service().file_len(0), 4096);
-        let trace = engine.into_service().finish_trace();
+        assert_eq!(engine.service().core.file_len(0), 4096);
+        let trace = engine.into_service().core.finish_trace();
         // The commit interval is traced and spans the flushed write.
         assert_eq!(trace.of_op(IoOp::Flush).count(), 1);
     }
@@ -1604,8 +1203,8 @@ mod tests {
             vec![FileSpec::input("shared", 1 << 20)],
             (0..4).map(|_| mk()).collect(),
         );
-        let segments = engine.service().segments_completed();
-        let trace = engine.into_service().finish_trace();
+        let segments = engine.service().core.pump.segments_completed();
+        let trace = engine.into_service().core.finish_trace();
         assert_eq!(trace.of_op(IoOp::Read).count(), 8);
         let mut offs: Vec<u64> = trace.of_op(IoOp::Read).map(|e| e.offset).collect();
         offs.sort_unstable();

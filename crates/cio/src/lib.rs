@@ -16,8 +16,8 @@
 //!   (maximal runs contiguous in node-local array space), independent of
 //!   extent arrival order;
 //! * [`fs`] — [`fs::Cio`], the [`paragon_sim::IoService`] implementation:
-//!   PFS-identical metadata semantics over the shared `sio-fskit`
-//!   substrate, a per-file gather that triggers when every opener has
+//!   PFS's metadata semantics from the embedded `sio_fskit::FsCore` (the
+//!   same code PFS runs), a per-file gather that triggers when every opener has
 //!   contributed, a timed extent-exchange phase (real mesh message costs),
 //!   and phase-2 aggregated dispatch through the shared [`SegmentPump`]
 //!   under the buddy-failover policy.
@@ -30,7 +30,7 @@ pub mod fs;
 pub mod partition;
 
 pub use file::FileSpec;
-pub use fs::{Cio, CioConfig, CioFaultStats, CioStats};
+pub use fs::{Cio, CioStats};
 pub use layout::StripeLayout;
 pub use mode::AccessMode;
 pub use partition::{Domain, Extent};

@@ -9,8 +9,8 @@ use paragon_sim::MachineConfig;
 /// allocator: file `f`'s node-local space starts at `f × file_slot`).
 pub const DEFAULT_FILE_SLOT: u64 = 32 << 20;
 
-/// Substrate configuration, derived from a [`MachineConfig`]. Historically
-/// named `PfsConfig`; both backends share it.
+/// Substrate configuration, derived from a [`MachineConfig`]; every backend
+/// shares it through its [`crate::FsCore`].
 #[derive(Debug, Clone)]
 pub struct FsConfig {
     /// Stripe map.

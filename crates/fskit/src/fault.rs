@@ -1,4 +1,5 @@
-//! Timer-based delivery of a [`FaultSchedule`].
+//! Timer-based delivery of a [`FaultSchedule`], and the fault counters
+//! every backend keeps.
 
 use paragon_sim::engine::Sched;
 use paragon_sim::fault::{FaultDomain, FaultEvent, FaultSchedule, META_REPLICAS};
@@ -63,4 +64,29 @@ impl FaultRouter {
     pub fn take(&mut self, timer: u64) -> Option<FaultEvent> {
         self.timers.remove(&timer)
     }
+}
+
+/// Counters for the fault-handling machinery (all zero on a healthy run).
+///
+/// PFS counts per request. CIO fails whole collectives, so there
+/// `timeouts` counts collectives and `unavailable` counts the member
+/// requests of the collectives no server would accept (plus one per
+/// metadata RPC that exhausted its retries, as on PFS). PPFS keeps the
+/// record but reports its own counters instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    /// Segment re-submissions scheduled with backoff.
+    pub retries: u64,
+    /// Segments failed over to the buddy node.
+    pub failovers: u64,
+    /// Segments lost to node crashes (in service or queued).
+    pub lost_segments: u64,
+    /// Segments served from an array with exhausted redundancy.
+    pub data_loss_segments: u64,
+    /// Requests failed by the hard deadline.
+    pub timeouts: u64,
+    /// Requests failed because no server would accept them.
+    pub unavailable: u64,
+    /// Second-failure events that exhausted an array's redundancy.
+    pub data_loss_events: u64,
 }

@@ -1,12 +1,12 @@
 //! The segment pump: the submit → backoff/retry → completion state machine
 //! over the I/O-node queues.
 //!
-//! Both backends push stripe segments through [`paragon_sim::ionode::IoNodeSim`]
+//! Every backend pushes stripe segments through [`paragon_sim::ionode::IoNodeSim`]
 //! queues and must handle explicit backpressure ([`SubmitOutcome::Rejected`])
 //! without ever silently dropping a segment. What differs is the *failover
 //! policy*:
 //!
-//! * [`FailoverPolicy::Buddy`] (PFS) — bounded backoff retries against the
+//! * [`FailoverPolicy::Buddy`] (PFS, CIO) — bounded backoff retries against the
 //!   target node, then reconstruct from redundancy on the buddy node
 //!   `(io + 1) % n`, and only if the buddy also refuses give the owning
 //!   request up (the pump reports the owner; the backend fails the token);

@@ -6,6 +6,16 @@ use paragon_sim::{NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::trace::{Trace, TraceSink};
 
+/// The trace/result op kind of a data request: writes are `Write` whether
+/// blocking or not; an asynchronous read is traced as `AsyncRead`.
+pub fn data_op_kind(write: bool, is_async: bool) -> IoOp {
+    match (write, is_async) {
+        (true, _) => IoOp::Write,
+        (false, false) => IoOp::Read,
+        (false, true) => IoOp::AsyncRead,
+    }
+}
+
 /// Records every application-visible interval into a Pablo-style
 /// [`TraceSink`] and owns the record + acknowledge boilerplate every verb
 /// handler otherwise repeats: span the interval, attach an extent when the
@@ -46,7 +56,7 @@ impl TraceRecorder {
     /// Record a completed operation spanning `start..done` (plus an optional
     /// `(offset, length)` extent) and acknowledge its token with `bytes` and
     /// a fault-free result. This is the shared shape of every metadata verb
-    /// (`Open`/`Close`/`Seek`/`Flush`/`Lsize`) in both backends.
+    /// (`Open`/`Close`/`Seek`/`Flush`/`Lsize`) in every backend.
     #[allow(clippy::too_many_arguments)]
     pub fn complete_op(
         &mut self,

@@ -4,7 +4,7 @@ use crate::file::{FileSpec, FileState};
 use paragon_sim::program::IoFault;
 use paragon_sim::{SimDuration, SimTime};
 
-/// The file registry both backends share: specs, runtime state, and the
+/// The file registry every backend shares: specs, runtime state, and the
 /// fixed-slot per-I/O-node allocator (file `f`'s node-local space starts at
 /// `f × file_slot`, bounded by the array capacity).
 #[derive(Debug)]
@@ -131,17 +131,6 @@ impl MetaServer {
         MetaServer::default()
     }
 
-    /// Serialize a metadata operation on the primary; returns its completion
-    /// time. Panics during an outage — the legacy entry point for callers
-    /// that predate the meta fault domain (tests, tools); fault-aware
-    /// backends use [`MetaServer::try_op`].
-    pub fn op(&mut self, now: SimTime, cost: SimDuration) -> SimTime {
-        match self.try_op(now, cost) {
-            MetaVerdict::Done(done) => done,
-            MetaVerdict::Outage => panic!("metadata outage without a parking caller"),
-        }
-    }
-
     /// Offer a metadata operation: serialize it on the primary, fail over to
     /// the buddy when the primary is down, or report a full outage.
     pub fn try_op(&mut self, now: SimTime, cost: SimDuration) -> MetaVerdict {
@@ -228,12 +217,12 @@ mod tests {
     fn meta_server_serializes() {
         let mut m = MetaServer::new();
         let c = SimDuration::from_millis(10);
-        let d1 = m.op(SimTime::ZERO, c);
-        let d2 = m.op(SimTime::ZERO, c);
-        assert_eq!(d2, d1 + c);
+        let d1 = SimTime::ZERO + c;
+        assert_eq!(m.try_op(SimTime::ZERO, c), MetaVerdict::Done(d1));
+        assert_eq!(m.try_op(SimTime::ZERO, c), MetaVerdict::Done(d1 + c));
         // An op arriving after the queue drains starts immediately.
-        let later = d2 + SimDuration::from_millis(5);
-        assert_eq!(m.op(later, c), later + c);
+        let later = d1 + c + SimDuration::from_millis(5);
+        assert_eq!(m.try_op(later, c), MetaVerdict::Done(later + c));
         // A healthy run never touches the buddy or the fault counters.
         assert_eq!(m.stats(), MetaStats::default());
     }
@@ -277,14 +266,5 @@ mod tests {
             m.try_op(SimTime::ZERO, c),
             MetaVerdict::Done(SimTime(stall.0 + 2 * c.0))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "metadata outage")]
-    fn legacy_op_panics_during_outage() {
-        let mut m = MetaServer::new();
-        m.crash(0);
-        m.crash(1);
-        m.op(SimTime::ZERO, SimDuration::from_millis(1));
     }
 }

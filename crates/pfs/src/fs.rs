@@ -3,48 +3,40 @@
 //! `Pfs` interprets every [`IoVerb`] with the semantics of §3.2:
 //!
 //! * **metadata path** — opens, creates, closes, and `lsize` serialize
-//!   through one metadata server ([`MetaServer`]); *seeks on shared files*
-//!   serialize at the file's metadata owner (per-file `seek_free`), which is
-//!   what makes ESCAT's 128-node synchronized seeks so expensive (Table 1);
-//!   seeks on single-opener files are a cheap local pointer update (HTF
-//!   `pscf`, Table 5);
+//!   through the replicated metadata server; *seeks on shared files*
+//!   serialize at the file's metadata owner, which is what makes ESCAT's
+//!   128-node synchronized seeks so expensive (Table 1); seeks on
+//!   single-opener files are a cheap local pointer update (HTF `pscf`,
+//!   Table 5). All of this is [`FsCore`]'s, shared with CIO;
 //! * **data path** — the access mode resolves the request's offset
 //!   (per-node pointer, shared pointer with token serialization, record
 //!   interleaving, or collective coalescing), then the request is staged and
-//!   pushed through the shared [`SegmentPump`] under the buddy-failover
+//!   pushed through the shared segment pump under the buddy-failover
 //!   policy, and completes when its last segment does plus the client copy
 //!   cost;
-//! * **tracing** — every application-visible call is recorded through the
-//!   shared [`TraceRecorder`]; asynchronous reads record their issue cost,
-//!   and the engine's `on_iowait` hook records the un-overlapped wait,
-//!   exactly the two rows RENDER's Table 3 reports.
+//! * **tracing** — every application-visible call is recorded; asynchronous
+//!   reads record their issue cost, and the engine's `on_iowait` hook
+//!   records the un-overlapped wait, exactly the two rows RENDER's Table 3
+//!   reports.
 //!
-//! Everything mode-agnostic — file table, stripe layout, segment pump,
-//! fault routing, sync parking, trace recording — lives in `sio-fskit`;
-//! this module is the PFS *policy* over that substrate.
+//! Everything mode-agnostic lives in the embedded [`FsCore`]; this module
+//! is the PFS *policy* over that substrate: access-mode resolution,
+//! request completion, and the typed failure of a request whose segments
+//! no server will take.
 
-use paragon_sim::calibration::FaultParams;
 use paragon_sim::engine::{IoService, Sched};
-use paragon_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use paragon_sim::ionode::{RejectReason, SegmentReq};
+use paragon_sim::fault::FaultSchedule;
+use paragon_sim::ionode::SegmentReq;
 use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
-use paragon_sim::raid::RaidError;
-use paragon_sim::{LinkQuality, LinkState};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::FastMap;
-use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::file::{FileSpec, FileState};
+use sio_core::trace::TraceSink;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
-use sio_fskit::table::{MetaStats, MetaVerdict};
-use sio_fskit::{
-    FaultRouter, FileTable, MetaServer, SyncLedger, SyncWaiter, TimerLanes, TraceRecorder,
-};
+use sio_fskit::pump::{FailoverPolicy, NodeTick};
+use sio_fskit::recorder::data_op_kind;
+use sio_fskit::FsCore;
 use std::collections::BTreeMap;
-
-pub use sio_fskit::client::ClientPath;
-pub use sio_fskit::config::{FsConfig as PfsConfig, DEFAULT_FILE_SLOT};
 
 #[derive(Debug)]
 struct Pending {
@@ -64,25 +56,6 @@ struct Pending {
     collective: Vec<(IoToken, NodeId, SimTime)>,
 }
 
-/// Counters for the fault-handling machinery (all zero on a healthy run).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Segment re-submissions scheduled with backoff.
-    pub retries: u64,
-    /// Segments failed over to the buddy node.
-    pub failovers: u64,
-    /// Segments lost to node crashes (in service or queued).
-    pub lost_segments: u64,
-    /// Segments served from an array with exhausted redundancy.
-    pub data_loss_segments: u64,
-    /// Requests failed by the hard deadline.
-    pub timeouts: u64,
-    /// Requests failed because no server would accept them.
-    pub unavailable: u64,
-    /// Second-failure events that exhausted an array's redundancy.
-    pub data_loss_events: u64,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Deferred {
     token: IoToken,
@@ -93,22 +66,6 @@ struct Deferred {
     offset: u64,
     bytes: u64,
     issued: SimTime,
-}
-
-/// A metadata RPC parked by a full metadata outage, awaiting a backoff
-/// retry probe.
-#[derive(Debug, Clone, Copy)]
-struct ParkedMeta {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    op: IoOp,
-    cost: SimDuration,
-    /// Result bytes on success (file length for `Lsize`, 0 otherwise).
-    bytes: u64,
-    issued: SimTime,
-    /// Retry probes already made.
-    attempt: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -122,46 +79,37 @@ struct ParkedSync {
 
 /// The Intel PFS model.
 pub struct Pfs {
-    cfg: PfsConfig,
-    /// Segment pump over the I/O nodes (buddy-failover policy).
-    pump: SegmentPump,
-    files: FileTable,
-    recorder: TraceRecorder,
-    /// Global metadata server (replicated; buddy failover under faults).
-    meta: MetaServer,
-    /// Metadata RPCs parked by a full outage (timer id -> parked RPC).
-    parked_meta: FastMap<u64, ParkedMeta>,
-    /// Interconnect link quality per I/O-node region (collective costs).
-    links: LinkState,
-    /// Per-file metadata-owner queues for shared-file seeks.
-    seek_free: Vec<SimTime>,
+    /// The shared substrate: file table, segment pump (buddy-failover
+    /// policy), metadata server, faults, `Sync` ledger, trace.
+    pub core: FsCore,
     pending: FastMap<IoToken, Pending>,
+    /// Data operations waiting for a serialized token or RPC (timer id →
+    /// operation).
     deferred: FastMap<u64, Deferred>,
-    /// Timer-id lanes: per-I/O-node completion timers plus the dynamic
-    /// lane for deferred completions, retries, deadlines, and faults.
-    timers: TimerLanes,
     /// M_GLOBAL coalescing: file -> waiting participants.
     #[allow(clippy::type_complexity)]
     global_waiting: FastMap<u32, Vec<(IoToken, NodeId, SimTime, bool, u64)>>,
     /// M_SYNC parking: file -> node -> parked request.
     sync_parked: FastMap<u32, BTreeMap<NodeId, ParkedSync>>,
-    /// `Sync` commits parked until their file has no in-flight writes.
-    syncs: SyncLedger,
-    /// Per-node serial client copy path.
-    client: ClientPath,
-    /// Fault-handling calibration (backoff, failover, deadline).
-    fault_params: FaultParams,
-    /// Scheduled fault delivery; inert on a healthy run.
-    faults: FaultRouter,
     /// Armed per-request deadline timers (timer id -> request token).
     timeout_timers: FastMap<u64, IoToken>,
-    /// Backend-local counters; pump counters merge in at the getter.
-    fault_stats: FaultStats,
+}
+
+/// Whether `file` still has in-flight (dispatched or deferred) writes — the
+/// data a `Sync` commit must wait out. PFS is write-through, so once these
+/// land the bytes are on the arrays.
+fn writes_in_flight(
+    pending: &FastMap<IoToken, Pending>,
+    deferred: &FastMap<u64, Deferred>,
+    file: u32,
+) -> bool {
+    pending.values().any(|p| p.file == file && p.write)
+        || deferred.values().any(|d| d.file == file && d.write)
 }
 
 impl Pfs {
     /// Build a PFS over the given machine, tracing into `sink` (owned; take
-    /// the frozen trace back with [`Pfs::finish_trace`] after the run).
+    /// the frozen trace back with [`FsCore::finish_trace`] after the run).
     pub fn new(machine: &MachineConfig, sink: TraceSink) -> Pfs {
         Pfs::with_faults(machine, sink, FaultSchedule::new())
     }
@@ -170,134 +118,17 @@ impl Pfs {
     /// exactly [`Pfs::new`]: the fault machinery arms no timers and the run
     /// is bit-identical to a healthy one.
     pub fn with_faults(machine: &MachineConfig, sink: TraceSink, schedule: FaultSchedule) -> Pfs {
-        let cfg = PfsConfig::from_machine(machine);
-        let ionodes = machine.build_io_nodes();
-        let faults = FaultRouter::new(schedule, ionodes.len());
-        let timers = TimerLanes::new(ionodes.len());
-        let links = LinkState::healthy(ionodes.len());
-        let pump = SegmentPump::new(
-            ionodes,
-            FailoverPolicy::Buddy {
-                max_retries: machine.fault.max_retries,
-            },
-            machine.fault.retry_base,
-        );
-        let files = FileTable::new(cfg.file_slot, cfg.array_capacity);
+        let failover = FailoverPolicy::Buddy {
+            max_retries: machine.fault.max_retries,
+        };
         Pfs {
-            cfg,
-            pump,
-            files,
-            recorder: TraceRecorder::new(sink),
-            meta: MetaServer::new(),
-            parked_meta: FastMap::default(),
-            links,
-            seek_free: Vec::new(),
+            core: FsCore::new(machine, sink, schedule, failover, 0),
             pending: FastMap::default(),
             deferred: FastMap::default(),
-            timers,
             global_waiting: FastMap::default(),
             sync_parked: FastMap::default(),
-            syncs: SyncLedger::new(),
-            client: ClientPath::new(),
-            fault_params: machine.fault,
-            faults,
             timeout_timers: FastMap::default(),
-            fault_stats: FaultStats::default(),
         }
-    }
-
-    /// Whether a fault schedule is in play (arms deadlines and lenient
-    /// completion paths; a healthy run keeps the strict invariants).
-    fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
-    }
-
-    /// Register a file; returns its id (used in [`IoRequest::file`]).
-    /// Panics when the fixed-slot allocator is exhausted — use
-    /// [`Pfs::try_register`] for a typed error.
-    pub fn register(&mut self, spec: FileSpec) -> u32 {
-        let id = self.files.register(spec);
-        self.seek_free.push(SimTime::ZERO);
-        id
-    }
-
-    /// Register a file, returning [`IoFault::Unavailable`] when the
-    /// fixed-slot allocator is exhausted.
-    pub fn try_register(&mut self, spec: FileSpec) -> Result<u32, IoFault> {
-        let id = self.files.try_register(spec)?;
-        self.seek_free.push(SimTime::ZERO);
-        Ok(id)
-    }
-
-    /// Current length of a registered file.
-    pub fn file_len(&self, file: u32) -> u64 {
-        self.files.len_of(file)
-    }
-
-    /// Mutable access to the trace sink (e.g. to set run metadata).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        self.recorder.sink_mut()
-    }
-
-    /// Consume the file system, freezing its captured trace.
-    pub fn finish_trace(self) -> Trace {
-        self.recorder.finish()
-    }
-
-    /// Inject a disk failure into one I/O node's array (experiment A4 and
-    /// the X4 fault suite). A second failure on the same array is a typed
-    /// error, not a panic.
-    pub fn fail_disk(&mut self, io_node: u32, disk: u32) -> Result<(), RaidError> {
-        self.pump.node_mut(io_node).array_mut().fail_disk(disk)
-    }
-
-    /// Metadata fault-machinery counters (all zero on a healthy run).
-    pub fn meta_stats(&self) -> MetaStats {
-        self.meta.stats()
-    }
-
-    /// Fault-machinery counters (all zero on a healthy run).
-    pub fn fault_stats(&self) -> FaultStats {
-        let mut s = self.fault_stats;
-        let p = self.pump.stats();
-        s.retries += p.retries;
-        s.failovers += p.failovers;
-        s
-    }
-
-    /// Rebuild chunks completed across all I/O nodes.
-    pub fn rebuild_chunks_total(&self) -> u64 {
-        self.pump.rebuild_chunks_total()
-    }
-
-    /// Member bytes rebuilt across all I/O nodes.
-    pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.pump.rebuilt_bytes_total()
-    }
-
-    /// I/O nodes whose arrays are still degraded.
-    pub fn degraded_nodes(&self) -> u32 {
-        self.pump.degraded_nodes()
-    }
-
-    /// Sum of queueing delay accumulated across all I/O nodes.
-    pub fn total_queueing(&self) -> SimDuration {
-        self.pump.total_queueing()
-    }
-
-    /// Total stripe segments completed across all I/O nodes.
-    pub fn segments_completed(&self) -> u64 {
-        self.pump.segments_completed()
-    }
-
-    /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> &[NodeLoad] {
-        self.pump.node_loads()
-    }
-
-    /// Whether any accepted write was lost to exhausted redundancy.
-    pub fn any_data_lost(&self) -> bool {
-        self.pump.any_data_lost()
     }
 
     /// Accept one coalesced burst-log drain extent as a background write:
@@ -330,14 +161,6 @@ impl Pfs {
         );
     }
 
-    fn state(&mut self, file: u32) -> &mut FileState {
-        self.files.state(file)
-    }
-
-    fn record(&mut self, ev: IoEvent) {
-        self.recorder.record(ev);
-    }
-
     /// Dispatch a resolved data operation to the I/O nodes.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
@@ -355,7 +178,7 @@ impl Pfs {
         sched: &mut Sched,
     ) {
         let eff_bytes = {
-            let st = self.state(file);
+            let st = self.core.files.state(file);
             if write {
                 st.extend_to(offset + bytes);
                 bytes
@@ -363,61 +186,46 @@ impl Pfs {
                 bytes.min(st.len.saturating_sub(offset))
             }
         };
+        let mut p = Pending {
+            file,
+            write,
+            is_async,
+            offset,
+            bytes: eff_bytes,
+            issued,
+            node,
+            segs_left: 0,
+            seg_ids: Vec::new(),
+            fault: None,
+            collective,
+        };
         if eff_bytes == 0 {
             // Nothing to move: a short software path only.
             let done = now + SimDuration::from_micros(200);
-            self.finish(
-                Pending {
-                    file,
-                    write,
-                    is_async,
-                    offset,
-                    bytes: 0,
-                    issued,
-                    node,
-                    segs_left: 0,
-                    seg_ids: Vec::new(),
-                    fault: None,
-                    collective,
-                },
-                token,
-                done,
-                sched,
-            );
+            self.finish(p, token, done, sched);
             return;
         }
-        let slot_base = self.files.slot_base(file);
-        let staged = self.pump.stage_extent(
-            &self.cfg.layout,
-            slot_base,
-            self.cfg.array_capacity,
+        let core = &mut self.core;
+        let staged = core.pump.stage_extent(
+            &core.cfg.layout,
+            core.files.slot_base(file),
+            core.cfg.array_capacity,
             offset,
             eff_bytes,
             write,
             token,
         );
-        let (reqs, seg_ids) = match staged {
-            Ok(v) => v,
+        let reqs = match staged {
+            Ok((reqs, seg_ids)) => {
+                p.segs_left = reqs.len() as u32;
+                p.seg_ids = seg_ids;
+                reqs
+            }
             Err(fault) => {
                 // The request overflows its allocator slot: a typed
                 // data-path failure on this request, not a crash of the run.
-                self.pending.insert(
-                    token,
-                    Pending {
-                        file,
-                        write,
-                        is_async,
-                        offset,
-                        bytes: eff_bytes,
-                        issued,
-                        node,
-                        segs_left: 0,
-                        seg_ids: Vec::new(),
-                        fault: None,
-                        collective,
-                    },
-                );
-                self.fault_stats.unavailable += 1;
+                self.pending.insert(token, p);
+                self.core.stats.unavailable += 1;
                 self.fail_token(token, fault, now, sched);
                 return;
             }
@@ -425,32 +233,24 @@ impl Pfs {
         // The request must be pending before any segment is submitted: a
         // rejection chain (both primary and buddy down) can fail the whole
         // token mid-loop.
-        self.pending.insert(
-            token,
-            Pending {
-                file,
-                write,
-                is_async,
-                offset,
-                bytes: eff_bytes,
-                issued,
-                node,
-                segs_left: reqs.len() as u32,
-                seg_ids,
-                fault: None,
-                collective,
-            },
-        );
+        self.pending.insert(token, p);
         for (io, req) in reqs {
             self.submit_or_fail(now, io, req, 0, sched);
         }
-        if self.faults_enabled() && self.pending.contains_key(&token) {
+        if self.core.faults.enabled() && self.pending.contains_key(&token) {
             // Hard per-request deadline: no request hangs forever under a
             // fault schedule with no recovery.
-            let id = self.timers.alloc();
+            let id = self.core.timers.alloc();
             self.timeout_timers.insert(id, token);
-            sched.timer(now + self.fault_params.request_timeout, id);
+            sched.timer(now + self.core.fault_params.request_timeout, id);
         }
+    }
+
+    /// Run a data operation once a serialized acquisition completes at `at`.
+    fn defer(&mut self, at: SimTime, d: Deferred, sched: &mut Sched) {
+        let id = self.core.timers.alloc();
+        self.deferred.insert(id, d);
+        sched.timer(at, id);
     }
 
     /// Push one segment through the pump; when both the primary and its
@@ -463,62 +263,23 @@ impl Pfs {
         attempt: u32,
         sched: &mut Sched,
     ) {
-        if let Some(token) = self
-            .pump
-            .submit_seg(now, io, req, attempt, &mut self.timers, sched)
+        if let Some(token) =
+            self.core
+                .pump
+                .submit_seg(now, io, req, attempt, &mut self.core.timers, sched)
         {
-            self.fault_stats.unavailable += 1;
+            self.core.stats.unavailable += 1;
             self.fail_token(token, IoFault::Unavailable, now, sched);
         }
     }
 
-    /// Whether `file` still has in-flight (dispatched or deferred) writes —
-    /// the data a `Sync` commit must wait out. PFS is write-through, so
-    /// once these land the bytes are on the arrays.
-    fn has_outstanding_writes(&self, file: u32) -> bool {
-        self.pending.values().any(|p| p.file == file && p.write)
-            || self.deferred.values().any(|d| d.file == file && d.write)
-    }
-
-    /// Acknowledge a commit: the software flush cost, plus a typed
-    /// `DataLoss` fault if any array holding the file's stripes has
-    /// exhausted its redundancy (durable ≠ healthy).
-    fn complete_sync(
-        &mut self,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        now: SimTime,
-        issued: SimTime,
-        sched: &mut Sched,
-    ) {
-        let fault = if self.pump.any_data_lost() {
-            Some(IoFault::DataLoss)
-        } else {
-            None
-        };
-        self.recorder.complete_commit(
-            sched,
-            token,
-            node,
-            file,
-            issued,
-            now,
-            self.cfg.io_sw.flush,
-            fault,
-        );
-    }
-
-    /// Release every `Sync` waiter on `file` once its last in-flight write
-    /// has finished (or failed — a typed write fault still unblocks the
-    /// commit; the caller sees the failure on the write itself).
-    fn drain_sync_waiters(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        if self.syncs.is_empty() || self.has_outstanding_writes(file) {
-            return;
-        }
-        for w in self.syncs.take_for(file) {
-            self.complete_sync(w.token, w.node, w.file, now, w.issued, sched);
-        }
+    /// Release the `Sync` waiters on `file` if its last in-flight write
+    /// just finished.
+    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
+        let (pending, deferred) = (&self.pending, &self.deferred);
+        self.core.drain_sync_waiters(file, now, sched, || {
+            writes_in_flight(pending, deferred, file)
+        });
     }
 
     /// Fail a pending request (and its collective participants) with a typed
@@ -527,32 +288,20 @@ impl Pfs {
         let Some(p) = self.pending.remove(&token) else {
             return;
         };
-        let failed_file = p.file;
         for id in &p.seg_ids {
-            self.pump.forget(*id);
+            self.core.pump.forget(*id);
         }
-        let op = match (p.write, p.is_async) {
-            (true, _) => IoOp::Write,
-            (false, false) => IoOp::Read,
-            (false, true) => IoOp::AsyncRead,
-        };
+        let op = data_op_kind(p.write, p.is_async);
         let result = IoResult {
             bytes: 0,
             queued: SimDuration::ZERO,
             service: now.since(p.issued),
             fault: Some(fault),
         };
-        if !p.is_async {
-            self.record(
-                IoEvent::new(p.node, p.file, op)
-                    .span(p.issued.nanos(), now.nanos())
-                    .extent(p.offset, 0),
-            );
-        }
-        sched.complete_io(token, now, result);
-        for (tok, node, issued) in p.collective {
+        let lead = (token, p.node, p.issued);
+        for (tok, node, issued) in std::iter::once(lead).chain(p.collective) {
             if !p.is_async {
-                self.record(
+                self.core.recorder.record(
                     IoEvent::new(node, p.file, op)
                         .span(issued.nanos(), now.nanos())
                         .extent(p.offset, 0),
@@ -560,167 +309,25 @@ impl Pfs {
             }
             sched.complete_io(tok, now, result);
         }
-        self.drain_sync_waiters(failed_file, now, sched);
-    }
-
-    /// Apply one scheduled fault event.
-    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) {
-        match ev.kind {
-            FaultKind::DiskFail { disk } => {
-                if self.pump.apply_disk_fail(ev.io_node, disk) {
-                    self.fault_stats.data_loss_events += 1;
-                }
-            }
-            FaultKind::DiskRepair => self.pump.apply_disk_repair(now, ev.io_node, sched),
-            FaultKind::NodeStall { for_dur } => {
-                self.pump.apply_stall(now, ev.io_node, for_dur, sched)
-            }
-            FaultKind::NodeCrash => {
-                let lost = self.pump.crash(ev.io_node);
-                self.fault_stats.lost_segments += lost.len() as u64;
-                for req in lost {
-                    if self.pump.owns(req.id) {
-                        if let Some(token) = self.pump.handle_rejection(
-                            now,
-                            ev.io_node,
-                            req,
-                            0,
-                            RejectReason::Down,
-                            &mut self.timers,
-                            sched,
-                        ) {
-                            self.fault_stats.unavailable += 1;
-                            self.fail_token(token, IoFault::Unavailable, now, sched);
-                        }
-                    }
-                }
-            }
-            FaultKind::NodeRecover => self.pump.recover(now, ev.io_node, sched),
-            FaultKind::LinkDegrade { bw_div, lat_mult } => {
-                // Data-path segments into the region's I/O node stretch by
-                // the bandwidth divisor; collective costs consult the
-                // region's quality through the link state.
-                self.pump.apply_link_degrade(ev.io_node, bw_div);
-                self.links
-                    .degrade(ev.io_node, LinkQuality { bw_div, lat_mult });
-            }
-            FaultKind::LinkHeal => {
-                self.pump.apply_link_heal(ev.io_node);
-                self.links.heal(ev.io_node);
-            }
-            FaultKind::MetaStall { for_dur } => self.meta.stall(now, ev.io_node, for_dur),
-            FaultKind::MetaCrash => self.meta.crash(ev.io_node),
-            FaultKind::MetaRecover => self.meta.recover(ev.io_node),
-        }
-    }
-
-    /// Serve a metadata RPC through the replicated server, parking it with
-    /// bounded backoff retries when both replicas are down. A healthy run
-    /// never parks, so this is bit-identical to the historical direct path.
-    #[allow(clippy::too_many_arguments)]
-    fn meta_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        op: IoOp,
-        cost: SimDuration,
-        bytes: u64,
-        sched: &mut Sched,
-    ) {
-        match self.meta.try_op(now, cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder
-                    .complete_op(sched, token, node, file, op, now, done, None, bytes);
-            }
-            MetaVerdict::Outage => {
-                let parked = ParkedMeta {
-                    token,
-                    node,
-                    file,
-                    op,
-                    cost,
-                    bytes,
-                    issued: now,
-                    attempt: 0,
-                };
-                self.park_meta(now, parked, sched);
-            }
-        }
-    }
-
-    /// Arm one backoff retry probe for a parked metadata RPC.
-    fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
-        self.meta.note_retry();
-        let id = self.timers.alloc();
-        self.parked_meta.insert(id, parked);
-        sched.timer(
-            now + backoff_delay(self.fault_params.retry_base, parked.attempt),
-            id,
-        );
-    }
-
-    /// A parked metadata RPC's retry timer fired: re-probe the replicas,
-    /// park again while the retry budget lasts, then surface the outage as
-    /// a typed [`IoFault::Unavailable`] — never hang.
-    fn retry_meta(&mut self, now: SimTime, mut parked: ParkedMeta, sched: &mut Sched) {
-        match self.meta.try_op(now, parked.cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder.complete_op(
-                    sched,
-                    parked.token,
-                    parked.node,
-                    parked.file,
-                    parked.op,
-                    parked.issued,
-                    done,
-                    None,
-                    parked.bytes,
-                );
-            }
-            MetaVerdict::Outage => {
-                if parked.attempt < self.fault_params.max_retries {
-                    parked.attempt += 1;
-                    self.park_meta(now, parked, sched);
-                } else {
-                    self.meta.note_unavailable();
-                    self.fault_stats.unavailable += 1;
-                    self.recorder.fail_op(
-                        sched,
-                        parked.token,
-                        parked.node,
-                        parked.file,
-                        parked.op,
-                        parked.issued,
-                        now,
-                        IoFault::Unavailable,
-                    );
-                }
-            }
-        }
+        self.drain_syncs(p.file, now, sched);
     }
 
     /// Complete a data request: charge the client copy cost, trace, complete
     /// every participating token.
     fn finish(&mut self, p: Pending, token: IoToken, now: SimTime, sched: &mut Sched) {
-        let finished_file = p.file;
-        let rate = self.cfg.io_sw.client_byte_rate;
-        let mut done = self.client.copy_done(p.node, now, p.bytes, rate);
+        let core = &mut self.core;
+        let rate = core.cfg.io_sw.client_byte_rate;
+        let mut done = core.client.copy_done(p.node, now, p.bytes, rate);
         if !p.collective.is_empty() {
             // M_GLOBAL: one physical I/O, then an internal broadcast to the
             // participant group.
             let n = (p.collective.len() + 1) as u32;
             done +=
-                self.cfg
+                core.cfg
                     .mesh
-                    .broadcast_time_via(&self.cfg.comm, self.links.worst(), n, p.bytes);
+                    .broadcast_time_via(&core.cfg.comm, core.links.worst(), n, p.bytes);
         }
-        let op = match (p.write, p.is_async) {
-            (true, _) => IoOp::Write,
-            (false, false) => IoOp::Read,
-            (false, true) => IoOp::AsyncRead,
-        };
+        let op = data_op_kind(p.write, p.is_async);
         let result = IoResult {
             bytes: p.bytes,
             queued: SimDuration::ZERO,
@@ -729,17 +336,10 @@ impl Pfs {
         };
         // Async issue events are traced at submit; sync ops trace here with
         // their full blocking interval.
-        if !p.is_async {
-            self.record(
-                IoEvent::new(p.node, p.file, op)
-                    .span(p.issued.nanos(), done.nanos())
-                    .extent(p.offset, p.bytes),
-            );
-        }
-        sched.complete_io(token, done, result);
-        for (tok, node, issued) in p.collective {
+        let lead = (token, p.node, p.issued);
+        for (tok, node, issued) in std::iter::once(lead).chain(p.collective) {
             if !p.is_async {
-                self.record(
+                core.recorder.record(
                     IoEvent::new(node, p.file, op)
                         .span(issued.nanos(), done.nanos())
                         .extent(p.offset, p.bytes),
@@ -747,7 +347,7 @@ impl Pfs {
             }
             sched.complete_io(tok, done, result);
         }
-        self.drain_sync_waiters(finished_file, now, sched);
+        self.drain_syncs(p.file, now, sched);
     }
 
     /// Resolve and dispatch a data operation according to the file's mode.
@@ -763,10 +363,11 @@ impl Pfs {
         sched: &mut Sched,
     ) {
         let file = req.file;
-        let mode = self.state(file).mode.unwrap_or_else(|| {
+        let files = &mut self.core.files;
+        let mode = files.get(file).mode.unwrap_or_else(|| {
             panic!(
                 "data op on closed file {} by node {node}",
-                self.files.get(file).spec.name
+                files.get(file).spec.name
             )
         });
         // Trace the async issue itself (the paper's "AsynchRead" row), with
@@ -775,12 +376,12 @@ impl Pfs {
             let resolved = match mode {
                 AccessMode::MUnix | AccessMode::MAsync => req
                     .offset
-                    .unwrap_or_else(|| self.files.get(file).pos.get(&node).copied().unwrap_or(0)),
+                    .unwrap_or_else(|| files.get(file).pos.get(&node).copied().unwrap_or(0)),
                 AccessMode::MLog | AccessMode::MSync | AccessMode::MGlobal => {
-                    self.files.get(file).shared_pos
+                    files.get(file).shared_pos
                 }
                 AccessMode::MRecord => {
-                    let st = self.state(file);
+                    let st = files.state(file);
                     let rs = st.record_size.unwrap_or(req.bytes);
                     let n = st.participants().len() as u64;
                     let rank = st.rank_of(node);
@@ -788,17 +389,27 @@ impl Pfs {
                     (k * n + rank) * rs
                 }
             };
-            let issue_end = now + self.cfg.io_sw.async_issue;
-            self.record(
+            let issue_end = now + self.core.cfg.io_sw.async_issue;
+            self.core.recorder.record(
                 IoEvent::new(node, file, IoOp::AsyncRead)
                     .span(now.nanos(), issue_end.nanos())
                     .extent(resolved, req.bytes),
             );
         }
+        let deferred = |offset: u64| Deferred {
+            token,
+            node,
+            file,
+            write,
+            is_async,
+            offset,
+            bytes: req.bytes,
+            issued: now,
+        };
         match mode {
             AccessMode::MUnix | AccessMode::MAsync => {
-                let shared = self.state(file).opener_count() > 1;
-                let st = self.state(file);
+                let st = self.core.files.state(file);
+                let shared = st.opener_count() > 1;
                 let pos = st.pos.entry(node).or_insert(0);
                 let offset = req.offset.unwrap_or(*pos);
                 *pos = offset + req.bytes;
@@ -806,25 +417,9 @@ impl Pfs {
                 // to a shared file serialize at the file's metadata owner.
                 // M_ASYNC explicitly waives atomicity and skips this.
                 if write && shared && mode == AccessMode::MUnix {
-                    let rpc = self.cfg.io_sw.atomic_write_rpc;
-                    let free = &mut self.seek_free[file as usize];
-                    let acquire = (*free).max(now) + rpc;
-                    *free = acquire;
-                    let id = self.timers.alloc();
-                    self.deferred.insert(
-                        id,
-                        Deferred {
-                            token,
-                            node,
-                            file,
-                            write,
-                            is_async,
-                            offset,
-                            bytes: req.bytes,
-                            issued: now,
-                        },
-                    );
-                    sched.timer(acquire, id);
+                    let rpc = self.core.cfg.io_sw.atomic_write_rpc;
+                    let acquire = self.core.owner_rpc(file, now, rpc);
+                    self.defer(acquire, deferred(offset), sched);
                 } else {
                     self.dispatch(
                         now,
@@ -842,7 +437,7 @@ impl Pfs {
                 }
             }
             AccessMode::MRecord => {
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let rs = *st.record_size.get_or_insert(req.bytes);
                 assert_eq!(
                     req.bytes, rs,
@@ -871,28 +466,14 @@ impl Pfs {
             }
             AccessMode::MLog => {
                 // Acquire the shared pointer token (serialized), then run.
-                let token_cost = self.cfg.io_sw.pointer_token;
-                let st = self.state(file);
+                let token_cost = self.core.cfg.io_sw.pointer_token;
+                let st = self.core.files.state(file);
                 let acquire = st.token_free.max(now) + token_cost;
                 st.token_free = acquire;
                 let offset = st.shared_pos;
                 st.shared_pos += req.bytes;
                 if acquire > now {
-                    let id = self.timers.alloc();
-                    self.deferred.insert(
-                        id,
-                        Deferred {
-                            token,
-                            node,
-                            file,
-                            write,
-                            is_async,
-                            offset,
-                            bytes: req.bytes,
-                            issued: now,
-                        },
-                    );
-                    sched.timer(acquire, id);
+                    self.defer(acquire, deferred(offset), sched);
                 } else {
                     self.dispatch(
                         now,
@@ -925,10 +506,7 @@ impl Pfs {
                 self.drain_sync(now, file, sched);
             }
             AccessMode::MGlobal => {
-                let n = {
-                    let st = self.state(file);
-                    st.participants().len()
-                };
+                let n = self.core.files.state(file).participants().len();
                 let waiting = self.global_waiting.entry(file).or_default();
                 waiting.push((token, node, now, is_async, req.bytes));
                 if waiting.len() == n {
@@ -937,7 +515,7 @@ impl Pfs {
                     // fail the op as unavailable rather than panic the run.
                     let Some(slot) = self.global_waiting.get_mut(&file) else {
                         debug_assert!(false, "M_GLOBAL wait group vanished for file {file}");
-                        self.fault_stats.unavailable += 1;
+                        self.core.stats.unavailable += 1;
                         sched.complete_io(
                             token,
                             now,
@@ -953,7 +531,7 @@ impl Pfs {
                     let group = std::mem::take(slot);
                     let bytes = group[0].4;
                     debug_assert!(group.iter().all(|g| g.4 == bytes));
-                    let st = self.state(file);
+                    let st = self.core.files.state(file);
                     let offset = st.shared_pos;
                     st.shared_pos += bytes;
                     let (lead_tok, lead_node, lead_issued, lead_async, _) = group[0];
@@ -983,13 +561,13 @@ impl Pfs {
     fn drain_sync(&mut self, now: SimTime, file: u32, sched: &mut Sched) {
         loop {
             let next = {
-                let st = self.state(file);
+                let st = self.core.files.state(file);
                 let parts = st.participants().to_vec();
                 let expected = parts[(st.turn % parts.len() as u64) as usize];
                 let parked = self.sync_parked.entry(file).or_default();
                 match parked.remove(&expected) {
                     Some(p) => {
-                        let st = self.state(file);
+                        let st = self.core.files.state(file);
                         st.turn += 1;
                         let offset = st.shared_pos;
                         st.shared_pos += p.bytes;
@@ -1030,93 +608,26 @@ impl IoService for Pfs {
         is_async: bool,
         sched: &mut Sched,
     ) {
+        let file = req.file;
         match req.verb {
             IoVerb::Open => {
                 let mode = AccessMode::from_code(req.hint)
                     .unwrap_or_else(|| panic!("bad access-mode code {}", req.hint));
-                let create = self.state(req.file).open(node, mode);
-                let cost = if create {
-                    self.cfg.io_sw.create
-                } else {
-                    self.cfg.io_sw.open
-                };
-                self.meta_op(now, token, node, req.file, IoOp::Open, cost, 0, sched);
+                self.core.open(now, token, node, file, mode, sched);
             }
-            IoVerb::Close => {
-                self.state(req.file).close(node);
-                let cost = self.cfg.io_sw.close;
-                self.meta_op(now, token, node, req.file, IoOp::Close, cost, 0, sched);
-            }
+            IoVerb::Close => self.core.close(now, token, node, file, sched),
             IoVerb::Seek => {
                 let target = req.offset.expect("seek needs an offset");
-                let shared = self.state(req.file).opener_count() > 1;
-                let (done, distance) = if shared {
-                    // Serialized at the file's metadata owner.
-                    let cost = self.cfg.io_sw.seek_shared_rpc;
-                    let free = &mut self.seek_free[req.file as usize];
-                    let start = (*free).max(now);
-                    let done = start + cost;
-                    *free = done;
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (done, distance)
-                } else {
-                    let st = self.state(req.file);
-                    let pos = st.pos.entry(node).or_insert(0);
-                    let distance = pos.abs_diff(target);
-                    *pos = target;
-                    (now + self.cfg.io_sw.seek_local, distance)
-                };
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Seek,
-                    now,
-                    done,
-                    Some((target, distance)),
-                    0,
-                );
+                self.core.seek(now, token, node, file, target, sched);
             }
-            IoVerb::Flush => {
-                let done = now + self.cfg.io_sw.flush;
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Flush,
-                    now,
-                    done,
-                    None,
-                    0,
-                );
-            }
-            IoVerb::Lsize => {
-                let cost = self.cfg.io_sw.lsize;
-                let len = self.file_len(req.file);
-                self.meta_op(now, token, node, req.file, IoOp::Lsize, cost, len, sched);
-            }
+            IoVerb::Flush => self.core.flush(now, token, node, file, sched),
+            IoVerb::Lsize => self.core.lsize(now, token, node, file, sched),
             IoVerb::Sync => {
-                // Commit: acknowledge only after every in-flight write on
-                // the file has reached the arrays. PFS is write-through, so
-                // "no outstanding writes" is the durable point; the commit
-                // still reports `DataLoss` if redundancy is exhausted.
-                // Traced as Forflush — the paper's vocabulary has no
-                // separate commit row.
-                if self.has_outstanding_writes(req.file) {
-                    self.syncs.park(SyncWaiter {
-                        token,
-                        node,
-                        file: req.file,
-                        issued: now,
-                    });
-                } else {
-                    self.complete_sync(token, node, req.file, now, now, sched);
-                }
+                // Commit: acknowledge once every in-flight write on the file
+                // has reached the arrays (write-through: that is the durable
+                // point).
+                let busy = writes_in_flight(&self.pending, &self.deferred, file);
+                self.core.sync(now, token, node, file, busy, sched);
             }
             IoVerb::Read => self.data_op(now, token, node, req, false, is_async, sched),
             IoVerb::Write => self.data_op(now, token, node, req, true, is_async, sched),
@@ -1124,37 +635,31 @@ impl IoService for Pfs {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        // Arm one absolute-time timer per scheduled fault event. Empty
-        // schedule (the healthy case): no timers, bit-identical runs.
-        self.faults.arm_all(&mut self.timers, sched);
+        self.core.faults.arm_all(&mut self.core.timers, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
+        if self.core.timers.is_node_timer(timer) {
             // An I/O node finished its in-service work. Stale timers happen
             // only under faults (a stall postponed the completion, or a
             // crash voided it); orphaned segments mean the owning request
             // already failed (timeout/unavailable).
-            match self.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => debug_assert!(
-                    self.faults_enabled(),
-                    "stale i/o-node timer on a healthy run"
-                ),
+            let faults = self.core.faults.enabled();
+            match self.core.pump.node_tick(now, timer, sched) {
+                NodeTick::Stale => debug_assert!(faults, "stale i/o-node timer on a healthy run"),
                 // Background rebuild traffic: no request to complete.
                 NodeTick::Rebuild => {}
-                NodeTick::Orphan => {
-                    debug_assert!(self.faults_enabled(), "segment with no owner")
-                }
+                NodeTick::Orphan => debug_assert!(faults, "segment with no owner"),
                 NodeTick::Seg {
                     owner: token,
                     data_lost,
                 } => {
                     let Some(p) = self.pending.get_mut(&token) else {
-                        debug_assert!(self.faults.enabled(), "pending missing");
+                        debug_assert!(faults, "pending missing");
                         return;
                     };
                     if data_lost {
-                        self.fault_stats.data_loss_segments += 1;
+                        self.core.stats.data_loss_segments += 1;
                         p.fault = Some(IoFault::DataLoss);
                     }
                     p.segs_left -= 1;
@@ -1172,22 +677,27 @@ impl IoService for Pfs {
                     }
                 }
             }
-        } else if let Some(ev) = self.faults.take(timer) {
-            self.apply_fault(now, ev, sched);
-        } else if let Some(r) = self.pump.take_retry(timer) {
+        } else if let Some(ev) = self.core.faults.take(timer) {
+            // Only a node crash hands back segments: they take the buddy
+            // failover chain, and a request no server accepts fails typed.
+            for req in self.core.apply_fault(now, ev, sched) {
+                if let Some(token) = self.core.reject_lost(now, ev.io_node, req, sched) {
+                    self.core.stats.unavailable += 1;
+                    self.fail_token(token, IoFault::Unavailable, now, sched);
+                }
+            }
+        } else if let Some(r) = self.core.pump.take_retry(timer) {
             // Retry only while the owning request is still alive.
-            if self.pump.owns(r.req.id) {
+            if self.core.pump.owns(r.req.id) {
                 self.submit_or_fail(now, r.io, r.req, r.attempt, sched);
             }
         } else if let Some(token) = self.timeout_timers.remove(&timer) {
             if self.pending.contains_key(&token) {
-                self.fault_stats.timeouts += 1;
+                self.core.stats.timeouts += 1;
                 self.fail_token(token, IoFault::Timeout, now, sched);
             }
-        } else if let Some(parked) = self.parked_meta.remove(&timer) {
-            self.retry_meta(now, parked, sched);
-        } else {
-            // Deferred dispatch (M_LOG pointer-token acquisition).
+        } else if !self.core.retry_meta(now, timer, sched) {
+            // Deferred dispatch (M_LOG pointer token, M_UNIX atomic write).
             let d = self.deferred.remove(&timer).expect("unknown deferred op");
             self.dispatch(
                 now,
@@ -1206,13 +716,14 @@ impl IoService for Pfs {
     }
 
     fn issue_cost(&self, _node: NodeId, _req: &IoRequest) -> SimDuration {
-        self.cfg.io_sw.async_issue
+        self.core.cfg.io_sw.async_issue
     }
 
     fn on_iowait(&mut self, node: NodeId, file: u32, wait_start: SimTime, wait_end: SimTime) {
-        self.recorder.iowait(node, file, wait_start, wait_end);
+        self.core.recorder.iowait(node, file, wait_start, wait_end);
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,6 +731,7 @@ mod tests {
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
     use paragon_sim::Engine;
     use sio_core::trace::Trace;
+    use sio_fskit::file::FileSpec;
 
     fn run_scripts(
         machine: &MachineConfig,
@@ -1228,7 +740,7 @@ mod tests {
     ) -> (Trace, paragon_sim::EngineReport) {
         let mut pfs = Pfs::new(machine, TraceSink::new("test"));
         for f in files {
-            pfs.register(f);
+            pfs.core.register(f);
         }
         let programs: Vec<Box<dyn NodeProgram>> = scripts
             .into_iter()
@@ -1240,9 +752,10 @@ mod tests {
         let report = engine.run();
         assert!(report.clean(), "blocked nodes: {:?}", report.blocked);
         let mut pfs = engine.into_service();
-        pfs.sink_mut()
+        pfs.core
+            .sink_mut()
             .set_run_info(machine.compute_nodes, report.wall.nanos());
-        (pfs.finish_trace(), report)
+        (pfs.core.finish_trace(), report)
     }
 
     fn machine() -> MachineConfig {
@@ -1434,7 +947,7 @@ mod tests {
         };
         let m = MachineConfig::tiny(4, 2);
         let mut pfs = Pfs::new(&m, TraceSink::new("g"));
-        pfs.register(FileSpec::input("shared", 1 << 20));
+        pfs.core.register(FileSpec::input("shared", 1 << 20));
         let programs: Vec<Box<dyn NodeProgram>> = (0..4)
             .map(|_| Box::new(ScriptProgram::new(mk())) as Box<dyn NodeProgram>)
             .collect();
@@ -1444,8 +957,8 @@ mod tests {
         let report = engine.run();
         assert!(report.clean());
         // All four nodes see both reads traced...
-        let segments = engine.service().segments_completed();
-        let trace = engine.into_service().finish_trace();
+        let segments = engine.service().core.pump.segments_completed();
+        let trace = engine.into_service().core.finish_trace();
         assert_eq!(trace.of_op(IoOp::Read).count(), 8);
         // ...at exactly two distinct offsets (shared pointer advanced twice).
         let mut offs: Vec<u64> = trace.of_op(IoOp::Read).map(|e| e.offset).collect();
@@ -1589,15 +1102,15 @@ mod tests {
         let m = MachineConfig::tiny(1, 1);
         let run = |fail: bool| {
             let mut pfs = Pfs::new(&m, TraceSink::new("d"));
-            pfs.register(FileSpec::input("data", 1 << 20));
+            pfs.core.register(FileSpec::input("data", 1 << 20));
             if fail {
-                pfs.fail_disk(0, 0).unwrap();
+                pfs.core.fail_disk(0, 0).unwrap();
             }
             let programs: Vec<Box<dyn NodeProgram>> = vec![Box::new(ScriptProgram::new(script()))];
             let mut engine = Engine::new(Mesh::for_nodes(1, 1), m.comm, programs, pfs);
             engine.set_default_watchdog();
             engine.run();
-            let trace = engine.into_service().finish_trace();
+            let trace = engine.into_service().core.finish_trace();
             let dur = trace.of_op(IoOp::Read).next().unwrap().duration();
             dur
         };

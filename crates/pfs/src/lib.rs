@@ -14,9 +14,9 @@
 //! * [`file`](mod@file) (re-exported from `sio-fskit`) — file registration
 //!   and runtime state (length, openers, pointers, record bookkeeping);
 //! * [`fs`] — [`fs::Pfs`], the [`paragon_sim::IoService`] implementation:
-//!   metadata-server queueing for opens/closes/shared seeks, per-mode data
-//!   dispatch through the shared segment pump with buddy-node failover,
-//!   and Pablo tracing of every call.
+//!   per-mode data dispatch through the shared segment pump with buddy-node
+//!   failover, over the embedded `sio_fskit::FsCore`, which serves the
+//!   metadata verbs, shared-file seeks, `Sync` commits and fault delivery.
 //!
 //! Every application-visible operation is recorded through a
 //! [`sio_core::Tracer`], producing the traces the analysis crate turns into
@@ -27,6 +27,6 @@ pub use sio_fskit::{file, layout, mode};
 pub mod fs;
 
 pub use file::FileSpec;
-pub use fs::{FaultStats, Pfs, PfsConfig};
+pub use fs::Pfs;
 pub use layout::StripeLayout;
 pub use mode::AccessMode;

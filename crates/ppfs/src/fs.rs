@@ -15,9 +15,10 @@
 //!   policy pair).
 //!
 //! The shared mechanics — file registry, stripe segment pump with
-//! stripe-pinned retry/replay, fault delivery, `Sync` parking, and interval
-//! tracing — live in `sio-fskit`; this module is the PPFS policy layer
-//! (caching, prefetch, write-behind, transfer routing) on top.
+//! stripe-pinned retry/replay, metadata RPCs, fault delivery, `Sync`
+//! parking, and interval tracing — are the embedded [`FsCore`]'s; this
+//! module is the PPFS policy layer (caching, prefetch, write-behind,
+//! transfer routing, the fate of dirty data a crash loses) on top.
 //!
 //! Tracing matches PFS: the application-visible interval of every call is
 //! recorded, so the paper's tables can be regenerated for either file
@@ -28,25 +29,16 @@ use crate::cache::{BlockCache, BlockState};
 use crate::policy::PolicyConfig;
 use crate::prefetch::StreamPrefetcher;
 use crate::write_behind::{DirtyBuffer, Extent};
-use paragon_sim::calibration::FaultParams;
 use paragon_sim::engine::{IoService, Sched};
-use paragon_sim::fault::{FaultEvent, FaultKind, FaultSchedule};
-use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
-
+use paragon_sim::fault::FaultSchedule;
+use paragon_sim::program::{IoRequest, IoResult, IoToken, IoVerb};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::{FastMap, FastSet};
-use sio_core::trace::{Trace, TraceSink};
-use sio_fskit::client::ClientPath;
-use sio_fskit::config::FsConfig;
-use sio_fskit::fault::FaultRouter;
-use sio_fskit::file::FileSpec;
-use sio_fskit::lanes::TimerLanes;
+use sio_core::trace::TraceSink;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
-use sio_fskit::recorder::TraceRecorder;
-use sio_fskit::sync::{SyncLedger, SyncWaiter};
-use sio_fskit::table::{FileTable, MetaServer, MetaStats, MetaVerdict};
+use sio_fskit::pump::{FailoverPolicy, NodeTick};
+use sio_fskit::FsCore;
 
 /// Running statistics of a PPFS instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -130,32 +122,14 @@ struct ReadPending {
     blocks_left: u32,
 }
 
-/// A metadata RPC parked by a full metadata outage, awaiting a backoff
-/// retry probe.
-#[derive(Debug, Clone, Copy)]
-struct ParkedMeta {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    op: IoOp,
-    cost: SimDuration,
-    /// Result bytes on success (file length for `Lsize`, 0 otherwise).
-    bytes: u64,
-    issued: SimTime,
-    /// Retry probes already made.
-    attempt: u32,
-}
-
 /// The PPFS file system.
 pub struct Ppfs {
-    cfg: FsConfig,
+    /// The shared substrate. Its pump is stripe-pinned: a down node parks
+    /// segments for replay, a full queue retries forever with capped
+    /// backoff. Timer ids: per-I/O-node completions, the reserved flush
+    /// timer, then the dynamic lane (server hits, faults, retries).
+    pub core: FsCore,
     policy: PolicyConfig,
-    /// Shared segment pump, stripe-pinned: a down node parks segments for
-    /// replay, a full queue retries forever with capped backoff.
-    pump: SegmentPump,
-    files: FileTable,
-    recorder: TraceRecorder,
-    meta: MetaServer,
     seed: u64,
     caches: FastMap<NodeId, BlockCache>,
     prefetchers: FastMap<(NodeId, u32), StreamPrefetcher>,
@@ -168,25 +142,12 @@ pub struct Ppfs {
     block_waiters: FastMap<(NodeId, u32, u64), Vec<u64>>,
     flush_timer_armed: bool,
     stats: PpfsStats,
-    /// Per-node serial client copy path (shared model with PFS).
-    client: ClientPath,
     /// Per-I/O-node server caches (empty when disabled).
     server_caches: Vec<BlockCache>,
     /// Pending server-cache hit deliveries: timer id -> (node, file, blocks).
     fetch_hits: FastMap<u64, (NodeId, u32, Vec<u64>)>,
-    /// Timer-id lanes: per-I/O-node completion timers, the reserved flush
-    /// timer, then the dynamic lane (server hits, faults, retries).
-    timers: TimerLanes,
     /// Per-file policy advice (paper §10: advertised access patterns).
     advice: FastMap<u32, FileAdvice>,
-    /// Scheduled fault delivery (armed at run start; empty on healthy runs).
-    faults: FaultRouter,
-    /// Fault-handling calibration (meta-RPC backoff and retry budget).
-    fault_params: FaultParams,
-    /// Metadata RPCs parked by a full outage (timer id -> parked RPC).
-    parked_meta: FastMap<u64, ParkedMeta>,
-    /// `Sync` commits parked until their file's write-back traffic lands.
-    syncs: SyncLedger,
     /// Files whose contents are reconstructible from a durable checkpoint
     /// (splits the dirty-loss accounting into checkpointed vs lost work).
     checkpoint_covered: FastSet<u32>,
@@ -194,8 +155,8 @@ pub struct Ppfs {
 
 impl Ppfs {
     /// Build a PPFS over the machine with the given policy, tracing into
-    /// `sink` (owned; take the frozen trace back with [`Ppfs::finish_trace`]
-    /// after the run).
+    /// `sink` (owned; take the frozen trace back with
+    /// [`FsCore::finish_trace`] after the run).
     pub fn new(machine: &MachineConfig, policy: PolicyConfig, sink: TraceSink) -> Ppfs {
         Ppfs::with_faults(machine, policy, sink, FaultSchedule::new())
     }
@@ -209,10 +170,10 @@ impl Ppfs {
         sink: TraceSink,
         schedule: FaultSchedule,
     ) -> Ppfs {
-        let ionodes = machine.build_io_nodes();
-        let faults = FaultRouter::new(schedule, ionodes.len());
+        // One reserved timer id: the periodic write-behind flush.
+        let core = FsCore::new(machine, sink, schedule, FailoverPolicy::StripePinned, 1);
         let server_caches: Vec<BlockCache> = if policy.server_cache_blocks > 0 {
-            (0..ionodes.len())
+            (0..core.pump.len())
                 .map(|i| {
                     BlockCache::new(
                         policy.server_cache_blocks,
@@ -224,18 +185,9 @@ impl Ppfs {
         } else {
             Vec::new()
         };
-        let timers = TimerLanes::with_reserved(ionodes.len(), 1);
-        let cfg = FsConfig::from_machine(machine);
         Ppfs {
+            core,
             policy,
-            pump: SegmentPump::new(
-                ionodes,
-                FailoverPolicy::StripePinned,
-                machine.fault.retry_base,
-            ),
-            files: FileTable::new(cfg.file_slot, cfg.array_capacity),
-            recorder: TraceRecorder::new(sink),
-            meta: MetaServer::new(),
             seed: machine.seed,
             caches: FastMap::default(),
             prefetchers: FastMap::default(),
@@ -247,17 +199,10 @@ impl Ppfs {
             block_waiters: FastMap::default(),
             flush_timer_armed: false,
             stats: PpfsStats::default(),
-            client: ClientPath::new(),
             server_caches,
             fetch_hits: FastMap::default(),
-            timers,
             advice: FastMap::default(),
-            faults,
-            fault_params: machine.fault,
-            parked_meta: FastMap::default(),
-            syncs: SyncLedger::new(),
             checkpoint_covered: FastSet::default(),
-            cfg,
         }
     }
 
@@ -285,49 +230,13 @@ impl Ppfs {
         }
     }
 
-    /// Register a file; returns its id.
-    pub fn register(&mut self, spec: FileSpec) -> u32 {
-        self.files.register(spec)
-    }
-
-    /// Register a file, returning a typed [`IoFault::Unavailable`] when the
-    /// fixed-slot allocator is exhausted.
-    pub fn try_register(&mut self, spec: FileSpec) -> Result<u32, IoFault> {
-        self.files.try_register(spec)
-    }
-
     /// Running statistics (backend counters merged with the shared pump's).
     pub fn stats(&self) -> PpfsStats {
         let mut s = self.stats;
-        let p = self.pump.stats();
+        let p = self.core.pump.stats();
         s.segments += p.segments;
         s.replayed_segments += p.replayed;
         s
-    }
-
-    /// Rebuild chunks completed across all I/O nodes.
-    pub fn rebuild_chunks_total(&self) -> u64 {
-        self.pump.rebuild_chunks_total()
-    }
-
-    /// Member bytes rebuilt across all I/O nodes.
-    pub fn rebuilt_bytes_total(&self) -> u64 {
-        self.pump.rebuilt_bytes_total()
-    }
-
-    /// I/O nodes whose arrays are still degraded.
-    pub fn degraded_nodes(&self) -> u32 {
-        self.pump.degraded_nodes()
-    }
-
-    /// Accepted-request accounting per I/O node.
-    pub fn node_loads(&self) -> &[NodeLoad] {
-        self.pump.node_loads()
-    }
-
-    /// Whether any accepted write was lost to exhausted redundancy.
-    pub fn any_data_lost(&self) -> bool {
-        self.pump.any_data_lost()
     }
 
     /// Accept one coalesced burst-log drain extent as a background write
@@ -344,7 +253,7 @@ impl Ppfs {
         token: IoToken,
         sched: &mut Sched,
     ) {
-        self.files.state(file).extend_to(offset + bytes);
+        self.core.files.state(file).extend_to(offset + bytes);
         let tid = self.next_transfer;
         self.next_transfer += 1;
         let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
@@ -375,16 +284,6 @@ impl Ppfs {
         );
     }
 
-    /// Current length of a file.
-    pub fn file_len(&self, file: u32) -> u64 {
-        self.files.len_of(file)
-    }
-
-    /// Metadata fault-machinery counters (all zero on a healthy run).
-    pub fn meta_stats(&self) -> MetaStats {
-        self.meta.stats()
-    }
-
     /// The pattern the adaptive prefetcher has inferred for a stream, if the
     /// stream exists.
     pub fn inferred_pattern(
@@ -396,21 +295,7 @@ impl Ppfs {
     }
 
     fn timer_flush_id(&self) -> u64 {
-        self.pump.len() as u64
-    }
-
-    fn record(&mut self, ev: IoEvent) {
-        self.recorder.record(ev);
-    }
-
-    /// Mutable access to the trace sink (e.g. to set run metadata).
-    pub fn sink_mut(&mut self) -> &mut TraceSink {
-        self.recorder.sink_mut()
-    }
-
-    /// Consume the file system, freezing its captured trace.
-    pub fn finish_trace(self) -> Trace {
-        self.recorder.finish()
+        self.core.pump.len() as u64
     }
 
     fn cache_for(&mut self, node: NodeId) -> &mut BlockCache {
@@ -434,155 +319,27 @@ impl Ppfs {
         write: bool,
         sched: &mut Sched,
     ) -> u32 {
-        self.pump.submit_extent(
+        let core = &mut self.core;
+        core.pump.submit_extent(
             now,
-            &self.cfg.layout,
-            self.files.slot_base(file),
+            &core.cfg.layout,
+            core.files.slot_base(file),
             offset,
             bytes,
             write,
             tid,
-            &mut self.timers,
+            &mut core.timers,
             sched,
         )
-    }
-
-    /// Apply one scheduled fault event.
-    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) {
-        match ev.kind {
-            FaultKind::DiskFail { disk } => {
-                self.pump.apply_disk_fail(ev.io_node, disk);
-            }
-            FaultKind::DiskRepair => self.pump.apply_disk_repair(now, ev.io_node, sched),
-            FaultKind::NodeStall { for_dur } => {
-                self.pump.apply_stall(now, ev.io_node, for_dur, sched)
-            }
-            FaultKind::NodeCrash => {
-                // In-service and queued segments are lost. Flush segments
-                // carry write-behind data whose application writes already
-                // completed — that is the dirty-data exposure the X4 suite
-                // measures. Everything is parked for replay on recovery.
-                for req in self.pump.crash(ev.io_node) {
-                    if let Some(tid) = self.pump.owner_of(req.id) {
-                        if let Some(Transfer::Flush { file, .. }) = self.transfers.get(&tid) {
-                            self.stats.dirty_bytes_lost += req.bytes;
-                            if self.checkpoint_covered.contains(file) {
-                                self.stats.dirty_bytes_lost_checkpointed += req.bytes;
-                            }
-                        }
-                        self.pump.park_replay(ev.io_node, req);
-                    }
-                }
-            }
-            FaultKind::NodeRecover => {
-                self.pump.recover(now, ev.io_node, sched);
-                self.pump
-                    .resubmit_replays(now, ev.io_node, &mut self.timers, sched);
-            }
-            // PPFS has no mesh-collective phase, so a degraded link region
-            // is felt entirely as stretched segment delivery into the
-            // region's I/O node (the bandwidth divisor); the latency
-            // multiplier has no separate PPFS-visible term.
-            FaultKind::LinkDegrade { bw_div, .. } => {
-                self.pump.apply_link_degrade(ev.io_node, bw_div);
-            }
-            FaultKind::LinkHeal => self.pump.apply_link_heal(ev.io_node),
-            FaultKind::MetaStall { for_dur } => self.meta.stall(now, ev.io_node, for_dur),
-            FaultKind::MetaCrash => self.meta.crash(ev.io_node),
-            FaultKind::MetaRecover => self.meta.recover(ev.io_node),
-        }
-    }
-
-    /// Serve a metadata RPC through the replicated server, parking it with
-    /// bounded backoff retries when both replicas are down. A healthy run
-    /// never parks, so this is bit-identical to the historical direct path.
-    #[allow(clippy::too_many_arguments)]
-    fn meta_op(
-        &mut self,
-        now: SimTime,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        op: IoOp,
-        cost: SimDuration,
-        bytes: u64,
-        sched: &mut Sched,
-    ) {
-        match self.meta.try_op(now, cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder
-                    .complete_op(sched, token, node, file, op, now, done, None, bytes);
-            }
-            MetaVerdict::Outage => {
-                let parked = ParkedMeta {
-                    token,
-                    node,
-                    file,
-                    op,
-                    cost,
-                    bytes,
-                    issued: now,
-                    attempt: 0,
-                };
-                self.park_meta(now, parked, sched);
-            }
-        }
-    }
-
-    /// Arm one backoff retry probe for a parked metadata RPC.
-    fn park_meta(&mut self, now: SimTime, parked: ParkedMeta, sched: &mut Sched) {
-        self.meta.note_retry();
-        let id = self.timers.alloc();
-        self.parked_meta.insert(id, parked);
-        sched.timer(
-            now + backoff_delay(self.fault_params.retry_base, parked.attempt),
-            id,
-        );
-    }
-
-    /// A parked metadata RPC's retry timer fired: re-probe the replicas,
-    /// park again while the retry budget lasts, then surface the outage as
-    /// a typed [`IoFault::Unavailable`] — never hang.
-    fn retry_meta(&mut self, now: SimTime, mut parked: ParkedMeta, sched: &mut Sched) {
-        match self.meta.try_op(now, parked.cost) {
-            MetaVerdict::Done(done) => {
-                self.recorder.complete_op(
-                    sched,
-                    parked.token,
-                    parked.node,
-                    parked.file,
-                    parked.op,
-                    parked.issued,
-                    done,
-                    None,
-                    parked.bytes,
-                );
-            }
-            MetaVerdict::Outage => {
-                if parked.attempt < self.fault_params.max_retries {
-                    parked.attempt += 1;
-                    self.park_meta(now, parked, sched);
-                } else {
-                    self.meta.note_unavailable();
-                    self.recorder.fail_op(
-                        sched,
-                        parked.token,
-                        parked.node,
-                        parked.file,
-                        parked.op,
-                        parked.issued,
-                        now,
-                        IoFault::Unavailable,
-                    );
-                }
-            }
-        }
     }
 
     /// I/O node owning a file block (block start decides for blocks that
     /// straddle stripe units).
     fn block_owner(&self, block: u64) -> usize {
-        self.cfg.layout.io_node_of(block * self.policy.block_size) as usize
+        self.core
+            .cfg
+            .layout
+            .io_node_of(block * self.policy.block_size) as usize
     }
 
     /// Fetch a run of blocks of `file` into `node`'s cache. Blocks resident
@@ -624,8 +381,8 @@ impl Ppfs {
         }
         if !hit_blocks.is_empty() {
             self.stats.server_hits += hit_blocks.len() as u64;
-            let timer = self.timers.alloc();
-            let at = now + self.cfg.io_sw.server_per_request;
+            let timer = self.core.timers.alloc();
+            let at = now + self.core.cfg.io_sw.server_per_request;
             self.fetch_hits.insert(timer, (node, file, hit_blocks));
             sched.timer(at, timer);
         }
@@ -696,10 +453,13 @@ impl Ppfs {
                 };
                 if ready {
                     let r = self.reads.remove(&rid).unwrap();
-                    let rate = self.cfg.io_sw.client_byte_rate;
-                    let done = self.client.copy_done(r.node, now + hit_cost, r.bytes, rate);
+                    let rate = self.core.cfg.io_sw.client_byte_rate;
+                    let done = self
+                        .core
+                        .client
+                        .copy_done(r.node, now + hit_cost, r.bytes, rate);
                     if !r.is_async {
-                        self.record(
+                        self.core.recorder.record(
                             IoEvent::new(r.node, r.file, IoOp::Read)
                                 .span(r.issued.nanos(), done.nanos())
                                 .extent(r.offset, r.bytes),
@@ -787,13 +547,13 @@ impl Ppfs {
         is_async: bool,
         sched: &mut Sched,
     ) {
-        let eff = bytes.min(self.files.len_of(file).saturating_sub(offset));
+        let eff = bytes.min(self.core.files.len_of(file).saturating_sub(offset));
         let hit_cost = SimDuration::from_secs_f64(self.policy.hit_cost_secs);
-        let rate = self.cfg.io_sw.client_byte_rate;
+        let rate = self.core.cfg.io_sw.client_byte_rate;
         if eff == 0 {
             let done = now + hit_cost;
             if !is_async {
-                self.record(
+                self.core.recorder.record(
                     IoEvent::new(node, file, IoOp::Read)
                         .span(now.nanos(), done.nanos())
                         .extent(offset, 0),
@@ -828,9 +588,9 @@ impl Ppfs {
         let blocks_left = (missing.len() + waiting.len()) as u32;
         if blocks_left == 0 {
             self.stats.reads_hit += 1;
-            let done = self.client.copy_done(node, now + hit_cost, eff, rate);
+            let done = self.core.client.copy_done(node, now + hit_cost, eff, rate);
             if !is_async {
-                self.record(
+                self.core.recorder.record(
                     IoEvent::new(node, file, IoOp::Read)
                         .span(now.nanos(), done.nanos())
                         .extent(offset, eff),
@@ -890,7 +650,7 @@ impl Ppfs {
                 .or_insert_with(|| StreamPrefetcher::new(policy, bs));
             pf.on_access(offset, eff)
         };
-        let file_len = self.files.len_of(file);
+        let file_len = self.core.files.len_of(file);
         for ext in suggestions {
             if ext.offset >= file_len {
                 continue;
@@ -925,13 +685,13 @@ impl Ppfs {
         bytes: u64,
         sched: &mut Sched,
     ) {
-        self.files.state(file).extend_to(offset + bytes);
-        let rate = self.cfg.io_sw.client_byte_rate;
+        self.core.files.state(file).extend_to(offset + bytes);
+        let rate = self.core.cfg.io_sw.client_byte_rate;
         if self.policy_for(file).write_behind {
             // Complete into the dirty buffer at copy cost.
             let ready = now + SimDuration::from_secs_f64(self.policy.hit_cost_secs);
-            let done = self.client.copy_done(node, ready, bytes, rate);
-            self.record(
+            let done = self.core.client.copy_done(node, ready, bytes, rate);
+            self.core.recorder.record(
                 IoEvent::new(node, file, IoOp::Write)
                     .span(now.nanos(), done.nanos())
                     .extent(offset, bytes),
@@ -1018,9 +778,9 @@ impl Ppfs {
                 issued,
                 ..
             } => {
-                let rate = self.cfg.io_sw.client_byte_rate;
-                let done = self.client.copy_done(node, now, bytes, rate);
-                self.record(
+                let rate = self.core.cfg.io_sw.client_byte_rate;
+                let done = self.core.client.copy_done(node, now, bytes, rate);
+                self.core.recorder.record(
                     IoEvent::new(node, file, IoOp::Write)
                         .span(issued.nanos(), done.nanos())
                         .extent(offset, bytes),
@@ -1035,10 +795,10 @@ impl Ppfs {
                         fault: None,
                     },
                 );
-                self.drain_sync_waiters(file, now, sched);
+                self.drain_syncs(file, now, sched);
             }
             Transfer::Flush { file, .. } => {
-                self.drain_sync_waiters(file, now, sched);
+                self.drain_syncs(file, now, sched);
             }
             Transfer::Drain {
                 token,
@@ -1048,8 +808,8 @@ impl Ppfs {
                 issued,
                 ..
             } => {
-                let rate = self.cfg.io_sw.client_byte_rate;
-                let done = self.client.copy_done(node, now, bytes, rate);
+                let rate = self.core.cfg.io_sw.client_byte_rate;
+                let done = self.core.client.copy_done(node, now, bytes, rate);
                 sched.complete_io(
                     token,
                     done,
@@ -1060,64 +820,32 @@ impl Ppfs {
                         fault: None,
                     },
                 );
-                self.drain_sync_waiters(file, now, sched);
+                self.drain_syncs(file, now, sched);
             }
         }
     }
 
-    /// Whether `file` still has write-back traffic in flight: flush
-    /// transfers (including segments parked at a crashed node awaiting
-    /// replay — parked dirty data is *not* durable) or write-through
-    /// application writes.
-    fn has_outstanding_writes(&self, file: u32) -> bool {
-        self.transfers.values().any(|t| {
-            matches!(t,
-                Transfer::Flush { file: f, .. }
-                | Transfer::AppWrite { file: f, .. }
-                | Transfer::Drain { file: f, .. }
-                    if *f == file)
-        })
+    /// Release the `Sync` waiters on `file` if its last write-back
+    /// transfer just landed on the arrays.
+    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
+        let transfers = &self.transfers;
+        self.core
+            .drain_sync_waiters(file, now, sched, || writes_in_flight(transfers, file));
     }
+}
 
-    /// Acknowledge a commit: the software flush cost, plus a typed
-    /// `DataLoss` fault if any array holding the file's stripes has
-    /// exhausted its redundancy.
-    fn complete_sync(
-        &mut self,
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        now: SimTime,
-        issued: SimTime,
-        sched: &mut Sched,
-    ) {
-        let fault = if self.pump.any_data_lost() {
-            Some(IoFault::DataLoss)
-        } else {
-            None
-        };
-        self.recorder.complete_commit(
-            sched,
-            token,
-            node,
-            file,
-            issued,
-            now,
-            self.cfg.io_sw.flush,
-            fault,
-        );
-    }
-
-    /// Release every `Sync` waiter on `file` once its last write-back
-    /// transfer has landed on the arrays.
-    fn drain_sync_waiters(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        if self.syncs.is_empty() || self.has_outstanding_writes(file) {
-            return;
-        }
-        for w in self.syncs.take_for(file) {
-            self.complete_sync(w.token, w.node, w.file, now, w.issued, sched);
-        }
-    }
+/// Whether `file` still has write-back traffic in flight: flush transfers
+/// (including segments parked at a crashed node awaiting replay — parked
+/// dirty data is *not* durable), write-through application writes, or
+/// log-tier drains.
+fn writes_in_flight(transfers: &FastMap<u64, Transfer>, file: u32) -> bool {
+    transfers.values().any(|t| {
+        matches!(t,
+            Transfer::Flush { file: f, .. }
+            | Transfer::AppWrite { file: f, .. }
+            | Transfer::Drain { file: f, .. }
+                if *f == file)
+    })
 }
 
 impl IoService for Ppfs {
@@ -1130,56 +858,26 @@ impl IoService for Ppfs {
         is_async: bool,
         sched: &mut Sched,
     ) {
+        let file = req.file;
         match req.verb {
             IoVerb::Open => {
                 let mode = AccessMode::from_code(req.hint).unwrap_or(AccessMode::MUnix);
-                let create = self.files.state(req.file).open(node, mode);
-                let cost = if create {
-                    self.cfg.io_sw.create
-                } else {
-                    self.cfg.io_sw.open
-                };
-                self.meta_op(now, token, node, req.file, IoOp::Open, cost, 0, sched);
+                self.core.open(now, token, node, file, mode, sched);
             }
             IoVerb::Close => {
-                self.flush_dirty(now, node, req.file, sched);
-                self.files.state(req.file).close(node);
-                let cost = self.cfg.io_sw.close;
-                self.meta_op(now, token, node, req.file, IoOp::Close, cost, 0, sched);
+                self.flush_dirty(now, node, file, sched);
+                self.core.close(now, token, node, file, sched);
             }
             IoVerb::Seek => {
                 // Client-managed pointers: always local, always cheap.
                 let target = req.offset.expect("seek needs an offset");
-                let pos = self.files.state(req.file).pos.entry(node).or_insert(0);
-                let distance = pos.abs_diff(target);
-                *pos = target;
                 let done = now + SimDuration::from_micros(200);
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Seek,
-                    now,
-                    done,
-                    Some((target, distance)),
-                    0,
-                );
+                self.core
+                    .seek_to(now, token, node, file, target, done, sched);
             }
             IoVerb::Flush => {
-                self.flush_dirty(now, node, req.file, sched);
-                let done = now + self.cfg.io_sw.flush;
-                self.recorder.complete_op(
-                    sched,
-                    token,
-                    node,
-                    req.file,
-                    IoOp::Flush,
-                    now,
-                    done,
-                    None,
-                    0,
-                );
+                self.flush_dirty(now, node, file, sched);
+                self.core.flush(now, token, node, file, sched);
             }
             IoVerb::Sync => {
                 // Commit: push every node's dirty write-behind data for
@@ -1189,71 +887,54 @@ impl IoService for Ppfs {
                 // awaiting replay) has landed on the arrays. This is the
                 // durability gap `Flush` leaves open — a flush returns at
                 // software cost while its extents are still in flight.
-                // Traced as Forflush (the paper has no separate commit row).
                 let mut keys: Vec<(NodeId, u32)> = self
                     .dirty
                     .iter()
-                    .filter(|((_, f), b)| *f == req.file && !b.is_empty())
+                    .filter(|((_, f), b)| *f == file && !b.is_empty())
                     .map(|(k, _)| *k)
                     .collect();
                 keys.sort_unstable();
                 for (n, f) in keys {
                     self.flush_dirty(now, n, f, sched);
                 }
-                if self.has_outstanding_writes(req.file) {
-                    self.syncs.park(SyncWaiter {
-                        token,
-                        node,
-                        file: req.file,
-                        issued: now,
-                    });
-                } else {
-                    self.complete_sync(token, node, req.file, now, now, sched);
-                }
+                let busy = writes_in_flight(&self.transfers, file);
+                self.core.sync(now, token, node, file, busy, sched);
             }
-            IoVerb::Lsize => {
-                let cost = self.cfg.io_sw.lsize;
-                let len = self.file_len(req.file);
-                self.meta_op(now, token, node, req.file, IoOp::Lsize, cost, len, sched);
-            }
+            IoVerb::Lsize => self.core.lsize(now, token, node, file, sched),
             IoVerb::Read | IoVerb::Write => {
-                let pos = self.files.state(req.file).pos.entry(node).or_insert(0);
+                let pos = self.core.files.state(file).pos.entry(node).or_insert(0);
                 let offset = req.offset.unwrap_or(*pos);
                 *pos = offset + req.bytes;
                 if is_async {
-                    let issue_end = now + self.cfg.io_sw.async_issue;
-                    self.record(
-                        IoEvent::new(node, req.file, IoOp::AsyncRead)
+                    let issue_end = now + self.core.cfg.io_sw.async_issue;
+                    self.core.recorder.record(
+                        IoEvent::new(node, file, IoOp::AsyncRead)
                             .span(now.nanos(), issue_end.nanos())
                             .extent(offset, req.bytes),
                     );
                 }
                 if req.verb == IoVerb::Read {
-                    self.read_op(
-                        now, token, node, req.file, offset, req.bytes, is_async, sched,
-                    );
+                    self.read_op(now, token, node, file, offset, req.bytes, is_async, sched);
                 } else {
-                    self.write_op(now, token, node, req.file, offset, req.bytes, sched);
+                    self.write_op(now, token, node, file, offset, req.bytes, sched);
                 }
             }
         }
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        // Arm one absolute-time timer per scheduled fault event. Empty
-        // schedule (the healthy case): no timers, bit-identical runs.
-        self.faults.arm_all(&mut self.timers, sched);
+        self.core.faults.arm_all(&mut self.core.timers, sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.timers.is_node_timer(timer) {
+        if self.core.timers.is_node_timer(timer) {
             // An I/O node finished its in-service work. Stale timers happen
             // only under faults (a stall postponed the completion, or a
             // crash voided it): the re-armed timer covers the real time.
-            match self.pump.node_tick(now, timer, sched) {
+            match self.core.pump.node_tick(now, timer, sched) {
                 NodeTick::Stale => {
                     debug_assert!(
-                        self.faults.enabled(),
+                        self.core.faults.enabled(),
                         "stale i/o-node timer on a healthy run"
                     );
                 }
@@ -1278,33 +959,50 @@ impl IoService for Ppfs {
             if self.dirty.values().any(|b| !b.is_empty()) {
                 self.arm_flush_timer(now, sched);
             }
-        } else if let Some(ev) = self.faults.take(timer) {
-            self.apply_fault(now, ev, sched);
-        } else if let Some(r) = self.pump.take_retry(timer) {
+        } else if let Some(ev) = self.core.faults.take(timer) {
+            // Only a node crash hands back segments. Flush segments carry
+            // write-behind data whose application writes already completed
+            // — that is the dirty-data exposure the X4 suite measures.
+            // Everything is parked for replay on recovery.
+            for req in self.core.apply_fault(now, ev, sched) {
+                if let Some(tid) = self.core.pump.owner_of(req.id) {
+                    if let Some(Transfer::Flush { file, .. }) = self.transfers.get(&tid) {
+                        self.stats.dirty_bytes_lost += req.bytes;
+                        if self.checkpoint_covered.contains(file) {
+                            self.stats.dirty_bytes_lost_checkpointed += req.bytes;
+                        }
+                    }
+                    self.core.pump.park_replay(ev.io_node, req);
+                }
+            }
+        } else if let Some(r) = self.core.pump.take_retry(timer) {
             // Retry only while the owning transfer is still alive.
-            if self.pump.owns(r.req.id) {
-                let gave_up =
-                    self.pump
-                        .submit_seg(now, r.io, r.req, r.attempt, &mut self.timers, sched);
+            if self.core.pump.owns(r.req.id) {
+                let gave_up = self.core.pump.submit_seg(
+                    now,
+                    r.io,
+                    r.req,
+                    r.attempt,
+                    &mut self.core.timers,
+                    sched,
+                );
                 debug_assert!(gave_up.is_none(), "stripe-pinned retry cannot give up");
             }
         } else if let Some((node, file, blocks)) = self.fetch_hits.remove(&timer) {
             // Server-cache hit delivery: no server install (they came from
             // there).
             self.complete_blocks(now, node, file, blocks, false, sched);
-        } else if let Some(parked) = self.parked_meta.remove(&timer) {
-            self.retry_meta(now, parked, sched);
-        } else {
+        } else if !self.core.retry_meta(now, timer, sched) {
             panic!("unknown timer {timer}");
         }
     }
 
     fn issue_cost(&self, _node: NodeId, _req: &IoRequest) -> SimDuration {
-        self.cfg.io_sw.async_issue
+        self.core.cfg.io_sw.async_issue
     }
 
     fn on_iowait(&mut self, node: NodeId, file: u32, wait_start: SimTime, wait_end: SimTime) {
-        self.recorder.iowait(node, file, wait_start, wait_end);
+        self.core.recorder.iowait(node, file, wait_start, wait_end);
     }
 
     fn on_run_end(&mut self, _now: SimTime) {
@@ -1338,6 +1036,7 @@ mod tests {
     use paragon_sim::time::transfer_time;
     use paragon_sim::Engine;
     use sio_core::trace::Trace;
+    use sio_fskit::file::FileSpec;
 
     fn machine() -> MachineConfig {
         MachineConfig::tiny(4, 2)
@@ -1355,7 +1054,7 @@ mod tests {
     ) -> (Trace, PpfsStats) {
         let mut fs = Ppfs::new(m, policy, TraceSink::new("ppfs-test"));
         for f in files {
-            fs.register(f);
+            fs.core.register(f);
         }
         let programs: Vec<Box<dyn NodeProgram>> = scripts
             .into_iter()
@@ -1372,9 +1071,10 @@ mod tests {
         assert!(report.clean(), "blocked: {:?}", report.blocked);
         let mut fs = engine.into_service();
         let stats = fs.stats();
-        fs.sink_mut()
+        fs.core
+            .sink_mut()
             .set_run_info(m.compute_nodes, report.wall.nanos());
-        (fs.finish_trace(), stats)
+        (fs.core.finish_trace(), stats)
     }
 
     #[test]
@@ -1613,7 +1313,7 @@ mod tests {
     fn inferred_pattern_exposed() {
         let m = machine();
         let mut fs = Ppfs::new(&m, PolicyConfig::adaptive(2), TraceSink::new("p"));
-        fs.register(FileSpec::input("in", 4 << 20));
+        fs.core.register(FileSpec::input("in", 4 << 20));
         let mut ops = vec![open(0)];
         for _ in 0..8 {
             ops.push(ScriptOp::Io(IoRequest::read(0, 65536)));
@@ -1701,8 +1401,8 @@ mod tests {
         // (write-behind + aggregation); file 1 inherits write-through.
         let m = machine();
         let mut fs = Ppfs::new(&m, PolicyConfig::write_through(), TraceSink::new("advice"));
-        fs.register(FileSpec::output("staging"));
-        fs.register(FileSpec::output("plain"));
+        fs.core.register(FileSpec::output("staging"));
+        fs.core.register(FileSpec::output("plain"));
         fs.advise(0, crate::advice::FileAdvice::staging());
         let mut ops = vec![open(0), open(1)];
         for i in 0..8u64 {
@@ -1719,7 +1419,7 @@ mod tests {
         let stats = engine.service().stats();
         // Only the advised file's writes were buffered.
         assert_eq!(stats.writes_buffered, 8);
-        let trace = engine.into_service().finish_trace();
+        let trace = engine.into_service().core.finish_trace();
         let wtime = |file: u32| -> u64 {
             trace
                 .of_op(IoOp::Write)
@@ -1742,7 +1442,7 @@ mod tests {
         policy.high_water_bytes = u64::MAX;
         policy.flush_interval_secs = 1e9; // never fires
         let mut fs = Ppfs::new(&m, policy, TraceSink::new("e"));
-        fs.register(FileSpec::output("f"));
+        fs.core.register(FileSpec::output("f"));
         let ops = vec![open(0), ScriptOp::Io(IoRequest::write(0, 2048))];
         let programs: Vec<Box<dyn NodeProgram>> = vec![Box::new(ScriptProgram::new(ops))];
         let mut engine = Engine::new(Mesh::for_nodes(4, 2), m.comm, programs, fs);

@@ -9,15 +9,22 @@
 //!   member spindle rate, and crashes are survived by retry + failover
 //!   (PFS) or replay (PPFS write-behind) — all explicitly accounted.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use sio::apps::workload::{
     parallel_write_kernel, run_workload, run_workload_with_faults, sequential_read_kernel, Backend,
     Workload,
 };
-use sio::apps::EscatParams;
+use sio::apps::{BackendSpec, EscatParams};
 use sio::core::event::IoOp;
 use sio::core::sddf;
-use sio::paragon::program::{IoRequest, ScriptOp};
-use sio::paragon::{FaultSchedule, MachineConfig, SimDuration, SimTime};
+use sio::core::trace::TraceSink;
+use sio::paragon::mesh::Mesh;
+use sio::paragon::program::{
+    IoFault, IoRequest, IoResult, NodeProgram, Resume, ScriptOp, ScriptProgram, Step,
+};
+use sio::paragon::{Engine, FaultSchedule, MachineConfig, NodeId, SimDuration, SimTime};
 use sio::pfs::{AccessMode, FileSpec};
 use sio::ppfs::PolicyConfig;
 
@@ -328,4 +335,63 @@ fn cio_aggregator_crash_fails_over_and_drains_cleanly() {
     assert!(writes.iter().all(|e| e.bytes == 48 * 1024));
     // And the Sync parked + released on all four nodes (no hung waiters).
     assert_eq!(out.trace.of_op(IoOp::Flush).count(), 4);
+}
+
+/// A script that keeps the result of every blocking I/O call it makes.
+struct Recording {
+    script: ScriptProgram,
+    results: Rc<RefCell<Vec<IoResult>>>,
+}
+
+impl NodeProgram for Recording {
+    fn step(&mut self, node: NodeId, resume: Resume) -> Step {
+        if let Resume::IoDone(r) = resume {
+            self.results.borrow_mut().push(r);
+        }
+        self.script.step(node, resume)
+    }
+}
+
+/// A `Sync` is a durability claim, so it must not report success once an
+/// array under the file has lost data: two disk failures on I/O node 0
+/// before the write to that node's first stripe exhaust its RAID-3
+/// redundancy, and the commit then completes with `DataLoss` on PFS, PPFS
+/// (write-behind) and CIO alike. The healthy run of the same script commits
+/// cleanly.
+#[test]
+fn sync_reports_data_loss_once_redundancy_is_exhausted() {
+    let machine = MachineConfig::tiny(4, 2);
+    let script = vec![
+        ScriptOp::Io(IoRequest::open(0, AccessMode::MUnix.code())),
+        ScriptOp::Io(IoRequest::write(0, 64 * 1024)),
+        ScriptOp::Io(IoRequest::sync(0)),
+        ScriptOp::Io(IoRequest::close(0)),
+    ];
+    let mut lossy = FaultSchedule::new();
+    lossy
+        .disk_fail(SimTime::ZERO, 0, 0)
+        .disk_fail(SimTime::ZERO, 0, 1);
+    for name in ["pfs", "ppfs", "cio"] {
+        let spec = BackendSpec::parse(name).expect("shipped backend");
+        for (schedule, expect) in [
+            (FaultSchedule::new(), None),
+            (lossy.clone(), Some(IoFault::DataLoss)),
+        ] {
+            let mut fs = spec.build(&machine, TraceSink::new(name), schedule);
+            fs.register_file(FileSpec::output("f"));
+            let results = Rc::new(RefCell::new(Vec::new()));
+            let program = Recording {
+                script: ScriptProgram::new(script.clone()),
+                results: results.clone(),
+            };
+            let mesh = Mesh::for_nodes(machine.compute_nodes, machine.io_nodes);
+            let mut engine = Engine::new(mesh, machine.comm, vec![Box::new(program)], fs);
+            engine.set_default_watchdog();
+            let report = engine.run();
+            assert!(report.clean(), "{name}: blocked {:?}", report.blocked);
+            let results = results.borrow();
+            assert_eq!(results.len(), 4, "{name}: open, write, sync, close");
+            assert_eq!(results[2].fault, expect, "{name}: sync result");
+        }
+    }
 }

@@ -213,6 +213,37 @@ fn meta_outage_fails_typed_and_terminates_on_every_backend() {
     }
 }
 
+/// A metadata outage that heals inside the retry budget must be invisible
+/// to the application on every backend: both replicas crash at t=0 and the
+/// primary recovers at 0.5 s, well inside the ~2.35 s the parked RPC's
+/// backoff probes cover (50 ms doubling to an 800 ms cap, five retries).
+/// The parked Open completes on a re-probe, no call surfaces
+/// `Unavailable`, and every verb runs and is traced once.
+#[test]
+fn healed_meta_outage_completes_every_verb_on_every_backend() {
+    let mut schedule = FaultSchedule::new();
+    schedule
+        .meta_crash(SimTime::ZERO, 0)
+        .meta_crash(SimTime::ZERO, 1)
+        .meta_recover(SimTime(500_000_000), 0);
+    let w = meta_workload();
+    for (name, b) in conformance_backends() {
+        let out = run_workload_with_faults(&m(), &w, &b, Some(&schedule));
+        assert!(out.report.clean(), "{name} did not terminate cleanly");
+        let meta = out.meta.unwrap_or_else(|| panic!("{name}: no meta stats"));
+        assert!(meta.retries > 0, "{name}: the outage parked nothing");
+        assert_eq!(meta.unavailable, 0, "{name}: a healed outage failed a call");
+        assert_eq!(out.trace.of_op(IoOp::Open).count(), 1, "{name}");
+        assert_eq!(out.trace.of_op(IoOp::Lsize).count(), 2, "{name}");
+        assert_eq!(out.trace.of_op(IoOp::Close).count(), 1, "{name}");
+        // The Open waited out the outage, and the data verbs behind it ran.
+        let open = out.trace.of_op(IoOp::Open).next().unwrap();
+        assert!(open.end >= 500_000_000, "{name}: open beat the recovery");
+        let ev = out.trace.of_op(IoOp::Write).next().unwrap();
+        assert_eq!((ev.offset, ev.bytes), (128 * 1024, 64 * 1024), "{name}");
+    }
+}
+
 /// Link congestion moves no user data: a run with every mesh region
 /// degraded from t=0 (quarter bandwidth, doubled hop latency) must finish
 /// clean on every backend, accept exactly the same per-I/O-node byte
