@@ -5,7 +5,7 @@
 //! asks the opposite question: does the stack stay well-behaved under
 //! schedules nobody hand-picked? A campaign is a seeded sequence of
 //! **cells**: each cell pairs one checkpointed application skeleton (ESCAT,
-//! RENDER, HTF-pargos) with one backend from [`BackendRegistry::builtin`]
+//! RENDER, HTF-pargos) with one backend from [`BackendSpec::BUILTIN`]
 //! and a randomly composed [`FaultSchedule`] drawing from all four fault
 //! domains — disk (member failures and rebuilds), node (stalls and
 //! recovered crashes), link (mesh congestion), and metadata (replica stalls
@@ -49,7 +49,7 @@ use paragon_sim::{MachineConfig, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sio_apps::workload::{run_workload_crashable, Backend, NodeLoad, RunOutput};
-use sio_apps::{BackendRegistry, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::{BackendSpec, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
 use sio_core::event::{IoOp, NS_PER_SEC};
 use sio_core::Trace;
 
@@ -170,7 +170,7 @@ pub struct ChaosSpec {
     pub cell: u32,
     /// Workload label (one of [`CHAOS_WORKLOADS`]).
     pub workload: &'static str,
-    /// Backend name (one of [`BackendRegistry::builtin`]'s names).
+    /// Backend name (one of [`BackendSpec::BUILTIN`]).
     pub backend: &'static str,
     /// The drawn faults, at most one group per domain.
     pub faults: Vec<SpecFault>,
@@ -297,7 +297,7 @@ impl ChaosSpec {
 pub fn chaos_specs(seed: u64, cells: u32, io_nodes: u32) -> Vec<ChaosSpec> {
     assert!(cells > 0, "chaos campaign needs at least one cell");
     assert!(io_nodes > 0, "chaos campaign needs at least one i/o node");
-    let backends = BackendRegistry::builtin().names();
+    let backends = BackendSpec::BUILTIN;
     let mut rng = StdRng::seed_from_u64(seed);
     (0..cells)
         .map(|i| {
@@ -720,7 +720,7 @@ mod tests {
         let b = chaos_specs(7, 40, 4);
         assert_eq!(a, b, "same seed must give the same campaign");
         assert_ne!(a, chaos_specs(8, 40, 4), "seed must matter");
-        let backends = BackendRegistry::builtin().names();
+        let backends = BackendSpec::BUILTIN;
         for (i, s) in a.iter().enumerate() {
             assert_eq!(s.cell as usize, i);
             assert_eq!(s.backend, backends[i % backends.len()]);

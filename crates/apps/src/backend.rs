@@ -1,13 +1,13 @@
 //! Pluggable file-system backends: the [`FsBackend`] trait every backend
-//! implements, the [`BackendSpec`] naming/factory enum, and the
-//! [`BackendRegistry`] that maps backend names to builders.
+//! implements, and the [`BackendSpec`] naming/factory enum with the list
+//! of shipped backend names, [`BackendSpec::BUILTIN`].
 //!
 //! The workload runner ([`crate::workload::run_workload`] and friends) is
 //! generic over `Box<dyn FsBackend>`: it registers files, runs the engine,
 //! stamps the trace, and harvests counters without knowing which file system
 //! served the run. Adding a backend means embedding a [`FsCore`], handing it
-//! out through [`FsBackend::core`], and registering a builder — the runner,
-//! analysis experiments, and `repro` pick it up unchanged.
+//! out through [`FsBackend::core`], and naming it in [`BackendSpec`] — the
+//! runner, analysis experiments, and `repro` pick it up unchanged.
 
 use paragon_sim::engine::{IoService, Sched};
 use paragon_sim::program::{IoRequest, IoToken};
@@ -353,6 +353,23 @@ pub enum BackendSpec {
 pub type Backend = BackendSpec;
 
 impl BackendSpec {
+    /// The shipped backend names, each one [`BackendSpec::parse`] accepts:
+    /// PFS, the tuned PPFS variants, CIO, and the log tier over each of the
+    /// three. Tools and tests that enumerate backends iterate this instead
+    /// of hard-coding a subset; build one with
+    /// `BackendSpec::parse(name)?.build(..)`.
+    pub const BUILTIN: [&'static str; 9] = [
+        "pfs",
+        "ppfs",
+        "ppfs-escat",
+        "ppfs-pargos",
+        "ppfs-wt",
+        "cio",
+        "blog+pfs",
+        "blog+ppfs",
+        "blog+cio",
+    ];
+
     /// Parse a backend name — the one place backend names are interpreted.
     /// `ppfs` defaults to the ESCAT-tuned policy; suffixed variants pick the
     /// other calibrated policies.
@@ -407,88 +424,13 @@ impl BackendSpec {
     }
 }
 
-/// A named backend builder.
-pub type BackendFactory =
-    Box<dyn Fn(&MachineConfig, TraceSink, FaultSchedule) -> Box<dyn FsBackend>>;
-
-/// Name → builder registry. [`BackendRegistry::builtin`] knows the shipped
-/// backends (PFS, the tuned PPFS variants, CIO, and the log tier over each
-/// of the three); tools and tests that
-/// enumerate backends iterate [`BackendRegistry::names`] instead of
-/// hard-coding the list.
-pub struct BackendRegistry {
-    entries: Vec<(&'static str, BackendFactory)>,
-}
-
-impl BackendRegistry {
-    /// Empty registry.
-    pub fn new() -> BackendRegistry {
-        BackendRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The registry of shipped backends. The name → policy mapping lives in
-    /// [`BackendSpec::parse`]; each factory resolves its name through it.
-    pub fn builtin() -> BackendRegistry {
-        let mut r = BackendRegistry::new();
-        for name in [
-            "pfs",
-            "ppfs",
-            "ppfs-escat",
-            "ppfs-pargos",
-            "ppfs-wt",
-            "cio",
-            "blog+pfs",
-            "blog+ppfs",
-            "blog+cio",
-        ] {
-            let spec = BackendSpec::parse(name).expect("builtin name parses");
-            r.register(name, Box::new(move |m, s, f| spec.build(m, s, f)));
-        }
-        r
-    }
-
-    /// Add (or shadow) a named backend.
-    pub fn register(&mut self, name: &'static str, factory: BackendFactory) {
-        self.entries.retain(|(n, _)| *n != name);
-        self.entries.push((name, factory));
-    }
-
-    /// Registered backend names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Build the named backend, or `None` for an unknown name.
-    pub fn build(
-        &self,
-        name: &str,
-        machine: &MachineConfig,
-        sink: TraceSink,
-        schedule: FaultSchedule,
-    ) -> Option<Box<dyn FsBackend>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, f)| f(machine, sink, schedule))
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        BackendRegistry::builtin()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parse_knows_every_builtin_name() {
-        let reg = BackendRegistry::builtin();
-        for name in reg.names() {
+        for name in BackendSpec::BUILTIN {
             assert!(BackendSpec::parse(name).is_some(), "unparsed: {name}");
         }
         assert_eq!(BackendSpec::parse("pfs"), Some(BackendSpec::Pfs));
@@ -518,18 +460,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_builds_each_backend() {
-        let reg = BackendRegistry::builtin();
+    fn builtin_names_build_each_backend() {
         let m = MachineConfig::tiny(2, 2);
-        for name in reg.names() {
-            let fs = reg
-                .build(name, &m, TraceSink::new("t"), FaultSchedule::new())
-                .unwrap_or_else(|| panic!("no builder for {name}"));
+        for name in BackendSpec::BUILTIN {
+            let spec = BackendSpec::parse(name).expect("builtin name parses");
+            let fs = spec.build(&m, TraceSink::new("t"), FaultSchedule::new());
             // Every backend reports healthy arrays at birth.
             assert_eq!(fs.degraded_nodes(), 0, "{name}");
         }
-        assert!(reg
-            .build("nfs", &m, TraceSink::new("t"), FaultSchedule::new())
-            .is_none());
     }
 }

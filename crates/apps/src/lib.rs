@@ -23,9 +23,9 @@
 //! * [`workload`] — the shared backend-generic runner plus synthetic
 //!   kernels (sequential / strided / random) for the mode and policy
 //!   ablations.
-//! * [`backend`] — the pluggable-backend layer: the [`FsBackend`] trait,
-//!   the [`BackendSpec`] naming/factory enum, and the [`BackendRegistry`]
-//!   of shipped backends.
+//! * [`backend`] — the pluggable-backend layer: the [`FsBackend`] trait
+//!   and the [`BackendSpec`] naming/factory enum, whose
+//!   [`BackendSpec::BUILTIN`] lists the shipped backends.
 //!
 //! Every `*Params::paper()` constructor reproduces the operation counts and
 //! byte volumes of the paper's Tables 1–6 (see `sio-analysis` for the
@@ -40,7 +40,7 @@ pub mod render;
 pub mod replay;
 pub mod workload;
 
-pub use backend::{BackendRegistry, BackendSpec, FsBackend};
+pub use backend::{BackendSpec, FsBackend};
 pub use checkpoint::{CheckpointPlan, CheckpointedWorkload};
 pub use escat::EscatParams;
 pub use htf::HtfParams;

@@ -18,12 +18,12 @@
 //!   longest member→aggregator mesh message). The whole phase is a real
 //!   simulated delay, traced as an `I/O Wait` interval on the lead node.
 //! * **phase 2: aggregated dispatch** — each aggregator issues *one large
-//!   sequential transfer per file domain* through the shared
-//!   segment pump under the buddy-failover policy, so retry, failover,
-//!   crash, and timeout behavior is exactly the substrate's. When the last
-//!   domain lands, every member completes with its own byte count and
-//!   client copy cost; a typed [`IoFault`] on the collective propagates to
-//!   every participant.
+//!   sequential transfer per file domain*; the whole collective is one
+//!   [`Request`] under the core's buddy-failover lifecycle, the one PFS
+//!   uses, so retry, failover, crash, timeout, and the typed fan-out of a
+//!   failure to every participant are exactly the substrate's. When the
+//!   last domain lands, every member completes with its own byte count and
+//!   client copy cost.
 //!
 //! Mode semantics under collectives: `M_UNIX`/`M_ASYNC` resolve per-node
 //! pointers at issue time (the conforming partition supplies the atomicity
@@ -43,82 +43,47 @@
 
 use paragon_sim::engine::{IoService, Sched};
 use paragon_sim::fault::FaultSchedule;
-use paragon_sim::ionode::SegmentReq;
-use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
+use paragon_sim::program::{IoRequest, IoToken, IoVerb};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::FastMap;
 use sio_core::trace::TraceSink;
+use sio_fskit::layout::Segment;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{FailoverPolicy, NodeTick};
-use sio_fskit::recorder::data_op_kind;
-use sio_fskit::FsCore;
+use sio_fskit::pump::FailoverPolicy;
+use sio_fskit::{Fired, FsCore, Member, Members, Request, Staging, SHORT_PATH};
 
 use crate::partition::{self, Domain, Extent};
 
 /// Assumed wire size of one extent descriptor in the phase-1 allgather.
 const DESCRIPTOR_BYTES: u64 = 64;
 
-/// How a gathered member's file offset is resolved at collective formation.
+/// How a gathered member's file offset is fixed.
 #[derive(Debug, Clone, Copy)]
 enum OffsetSpec {
-    /// Already resolved at issue time (M_UNIX, M_ASYNC, M_RECORD, M_LOG).
-    At(u64),
+    /// Resolved at issue time (M_UNIX, M_ASYNC, M_RECORD, M_LOG).
+    At,
     /// Shared pointer, assigned in node-rank order at formation (M_SYNC).
     Ordered,
     /// Shared pointer, one offset for the whole group (M_GLOBAL).
     Same,
 }
 
-/// One gathered (not yet dispatched) data operation.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    token: IoToken,
-    node: NodeId,
-    issued: SimTime,
-    is_async: bool,
-    bytes: u64,
-    spec: OffsetSpec,
-}
-
-/// A member with its offset resolved and its byte count clamped.
-#[derive(Debug, Clone, Copy)]
-struct RMember {
-    token: IoToken,
-    node: NodeId,
-    issued: SimTime,
-    is_async: bool,
-    offset: u64,
-    bytes: u64,
-}
-
 /// Per-file gather buckets, one per transfer direction (a collective is
 /// same-direction by construction).
 #[derive(Debug, Default)]
 struct Bucket {
-    writes: Vec<Member>,
-    reads: Vec<Member>,
+    writes: Vec<(OffsetSpec, Member)>,
+    reads: Vec<(OffsetSpec, Member)>,
 }
 
 /// A formed collective waiting out its phase-1 exchange delay.
 #[derive(Debug)]
-struct PendingExchange {
+struct Formed {
     file: u32,
     write: bool,
-    members: Vec<RMember>,
+    members: Vec<Member>,
     domains: Vec<Domain>,
-}
-
-/// A dispatched collective: aggregated segments in flight.
-#[derive(Debug)]
-struct Collective {
-    file: u32,
-    write: bool,
-    members: Vec<RMember>,
-    segs_left: u32,
-    seg_ids: Vec<u64>,
-    /// First fault observed on any aggregated segment.
-    fault: Option<IoFault>,
 }
 
 /// Collective-machinery counters.
@@ -141,32 +106,21 @@ pub struct CioStats {
 /// The collective two-phase I/O model.
 pub struct Cio {
     /// The shared substrate: file table, segment pump (buddy-failover
-    /// policy), metadata server, link state for the exchange phase, faults,
-    /// `Sync` ledger, trace.
+    /// policy), request lifecycle, metadata server, link state for the
+    /// exchange phase, faults, `Sync` ledger, trace.
     pub core: FsCore,
     /// Per-file gather buckets.
     gather: FastMap<u32, Bucket>,
     /// Collectives waiting out their exchange delay (timer id → group).
-    exchange: FastMap<u64, PendingExchange>,
-    /// Dispatched collectives (collective id → state).
-    collectives: FastMap<u64, Collective>,
-    next_coll: u64,
-    /// Armed per-collective deadline timers (timer id → collective id).
-    timeout_timers: FastMap<u64, u64>,
+    exchange: FastMap<u64, Formed>,
     stats: CioStats,
 }
 
-/// Whether `file` still has in-flight write traffic a `Sync` must wait
-/// out: a gathered write member, a write collective in its exchange phase,
-/// or aggregated write segments on the I/O nodes.
-fn writes_in_flight(
-    collectives: &FastMap<u64, Collective>,
-    exchange: &FastMap<u64, PendingExchange>,
-    gather: &FastMap<u32, Bucket>,
-    file: u32,
-) -> bool {
-    collectives.values().any(|c| c.file == file && c.write)
-        || exchange.values().any(|x| x.file == file && x.write)
+/// Whether `file` has write traffic not yet dispatched: a gathered write
+/// member, or a write collective in its exchange phase. A `Sync` waits for
+/// it as for aggregated write segments on the I/O nodes.
+fn held_writes(exchange: &FastMap<u64, Formed>, gather: &FastMap<u32, Bucket>, file: u32) -> bool {
+    exchange.values().any(|x| x.file == file && x.write)
         || gather.get(&file).is_some_and(|b| !b.writes.is_empty())
 }
 
@@ -186,9 +140,6 @@ impl Cio {
             core: FsCore::new(machine, sink, schedule, failover, 0),
             gather: FastMap::default(),
             exchange: FastMap::default(),
-            collectives: FastMap::default(),
-            next_coll: 0,
-            timeout_timers: FastMap::default(),
             stats: CioStats::default(),
         }
     }
@@ -216,239 +167,73 @@ impl Cio {
         sched: &mut Sched,
     ) {
         self.core.files.state(file).extend_to(offset + bytes);
-        if bytes == 0 {
-            sched.complete_io(
-                token,
-                now,
-                IoResult {
-                    bytes: 0,
-                    queued: SimDuration::ZERO,
-                    service: SimDuration::ZERO,
-                    fault: None,
-                },
-            );
-            return;
-        }
-        let members = vec![RMember {
+        let m = Member {
             token,
             node,
             issued: now,
             is_async: true,
             offset,
             bytes,
-        }];
-        let extents = [Extent { offset, bytes }];
-        let domains = partition::partition(&self.core.cfg.layout, &extents);
-        self.dispatch_collective(
-            now,
-            PendingExchange {
-                file,
-                write: true,
-                members,
-                domains,
-            },
-            sched,
-        );
-    }
-
-    /// Complete one member with a zero-byte short software path (nothing
-    /// to move: a zero-length write or a read at/past EOF).
-    fn complete_empty_member(
-        &mut self,
-        file: u32,
-        write: bool,
-        m: RMember,
-        now: SimTime,
-        sched: &mut Sched,
-    ) {
-        let done = now + SimDuration::from_micros(200);
-        let op = data_op_kind(write, m.is_async);
-        if !m.is_async {
-            self.core.recorder.record(
-                IoEvent::new(m.node, file, op)
-                    .span(m.issued.nanos(), done.nanos())
-                    .extent(m.offset, 0),
-            );
-        }
-        sched.complete_io(
-            m.token,
-            done,
-            IoResult {
-                bytes: 0,
-                queued: SimDuration::ZERO,
-                service: done.since(m.issued),
-                fault: None,
-            },
-        );
-    }
-
-    /// Release the `Sync` waiters on `file` if its last in-flight write
-    /// just finished.
-    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        let (collectives, exchange, gather) = (&self.collectives, &self.exchange, &self.gather);
-        self.core.drain_sync_waiters(file, now, sched, || {
-            writes_in_flight(collectives, exchange, gather, file)
-        });
-    }
-
-    /// Fail every member of a collective with a typed fault.
-    fn fail_collective(&mut self, cid: u64, fault: IoFault, now: SimTime, sched: &mut Sched) {
-        let Some(c) = self.collectives.remove(&cid) else {
-            return;
         };
-        for id in &c.seg_ids {
-            self.core.pump.forget(*id);
+        if bytes == 0 {
+            self.core
+                .recorder
+                .complete_data(sched, file, true, &m, now, 0, None);
+            return;
         }
-        let op = data_op_kind(c.write, false);
-        for m in &c.members {
-            if !m.is_async {
-                self.core.recorder.record(
-                    IoEvent::new(m.node, c.file, op)
-                        .span(m.issued.nanos(), now.nanos())
-                        .extent(m.offset, 0),
-                );
-            }
-            sched.complete_io(
-                m.token,
-                now,
-                IoResult {
-                    bytes: 0,
-                    queued: SimDuration::ZERO,
-                    service: now.since(m.issued),
-                    fault: Some(fault),
-                },
-            );
+        let domains = partition::partition(&self.core.cfg.layout, &[Extent { offset, bytes }]);
+        let x = Formed {
+            file,
+            write: true,
+            members: vec![m],
+            domains,
+        };
+        self.dispatch_collective(now, x, sched);
+    }
+
+    /// Phase 2: issue the collective as one request, one aggregated
+    /// sequential transfer per file domain.
+    fn dispatch_collective(&mut self, now: SimTime, x: Formed, sched: &mut Sched) {
+        let runs: Vec<Segment> = x
+            .domains
+            .iter()
+            .map(|d| Segment {
+                io_node: d.io_node,
+                local_offset: d.local_offset,
+                bytes: d.bytes,
+            })
+            .collect();
+        let req = Request::new(x.file, x.write, Members::Many(x.members));
+        let (exchange, gather) = (&self.exchange, &self.gather);
+        let held = |f| held_writes(exchange, gather, f);
+        if self
+            .core
+            .issue(now, req, Staging::Runs(&runs), sched, &held)
+        {
+            self.stats.aggregated_extents += runs.len() as u64;
         }
-        self.drain_syncs(c.file, now, sched);
     }
 
     /// Complete a finished collective: every member pays its own client
     /// copy cost and reports its own byte count; a collective-level fault
     /// (redundancy-exhausted array) reaches every member.
-    fn finish_collective(&mut self, c: Collective, now: SimTime, sched: &mut Sched) {
-        let rate = self.core.cfg.io_sw.client_byte_rate;
-        let op = data_op_kind(c.write, false);
-        for m in &c.members {
-            let done = self.core.client.copy_done(m.node, now, m.bytes, rate);
-            if !m.is_async {
-                self.core.recorder.record(
-                    IoEvent::new(m.node, c.file, op)
-                        .span(m.issued.nanos(), done.nanos())
-                        .extent(m.offset, m.bytes),
-                );
-            }
-            sched.complete_io(
-                m.token,
-                done,
-                IoResult {
-                    bytes: m.bytes,
-                    queued: SimDuration::ZERO,
-                    service: done.since(m.issued),
-                    fault: c.fault,
-                },
-            );
+    fn finish_collective(&mut self, req: Request, now: SimTime, sched: &mut Sched) {
+        let core = &mut self.core;
+        let rate = core.cfg.io_sw.client_byte_rate;
+        for m in req.members.iter() {
+            let done = core.client.copy_done(m.node, now, m.bytes, rate);
+            core.recorder
+                .complete_data(sched, req.file, req.write, m, done, m.bytes, req.fault);
         }
-        self.drain_syncs(c.file, now, sched);
+        self.drain_syncs(req.file, now, sched);
     }
 
-    /// Push one aggregated segment through the pump; when both the primary
-    /// and its buddy refuse it, fail the owning collective as unavailable.
-    fn submit_or_fail(
-        &mut self,
-        now: SimTime,
-        io: u32,
-        req: SegmentReq,
-        attempt: u32,
-        sched: &mut Sched,
-    ) {
-        if let Some(cid) =
-            self.core
-                .pump
-                .submit_seg(now, io, req, attempt, &mut self.core.timers, sched)
-        {
-            let members = self
-                .collectives
-                .get(&cid)
-                .map_or(1, |c| c.members.len() as u64);
-            self.core.stats.unavailable += members;
-            self.fail_collective(cid, IoFault::Unavailable, now, sched);
-        }
-    }
-
-    /// Phase 2: issue one aggregated sequential transfer per file domain.
-    fn dispatch_collective(&mut self, now: SimTime, x: PendingExchange, sched: &mut Sched) {
-        let PendingExchange {
-            file,
-            write,
-            members,
-            domains,
-        } = x;
-        let slot_base = self.core.files.slot_base(file);
-        let capacity = self.core.cfg.array_capacity;
-        if domains
-            .iter()
-            .any(|d| slot_base + d.local_offset + d.bytes > capacity)
-        {
-            // The aggregate overflows its allocator slot: a typed data-path
-            // failure on every member, not a crash of the run.
-            self.core.stats.unavailable += members.len() as u64;
-            let op = data_op_kind(write, false);
-            for m in &members {
-                if !m.is_async {
-                    self.core.recorder.record(
-                        IoEvent::new(m.node, file, op)
-                            .span(m.issued.nanos(), now.nanos())
-                            .extent(m.offset, 0),
-                    );
-                }
-                sched.complete_io(
-                    m.token,
-                    now,
-                    IoResult {
-                        bytes: 0,
-                        queued: SimDuration::ZERO,
-                        service: now.since(m.issued),
-                        fault: Some(IoFault::Unavailable),
-                    },
-                );
-            }
-            self.drain_syncs(file, now, sched);
-            return;
-        }
-        let cid = self.next_coll;
-        self.next_coll += 1;
-        let mut reqs = Vec::with_capacity(domains.len());
-        let mut seg_ids = Vec::with_capacity(domains.len());
-        for d in &domains {
-            let req = self
-                .core
-                .pump
-                .stage_seg(slot_base + d.local_offset, d.bytes, write, cid);
-            seg_ids.push(req.id);
-            reqs.push((d.io_node, req));
-        }
-        self.stats.aggregated_extents += reqs.len() as u64;
-        self.collectives.insert(
-            cid,
-            Collective {
-                file,
-                write,
-                members,
-                segs_left: reqs.len() as u32,
-                seg_ids,
-                fault: None,
-            },
-        );
-        for (io, req) in reqs {
-            self.submit_or_fail(now, io, req, 0, sched);
-        }
-        if self.core.faults.enabled() && self.collectives.contains_key(&cid) {
-            // Hard deadline: no collective hangs forever under a fault
-            // schedule with no recovery.
-            let id = self.core.timers.alloc();
-            self.timeout_timers.insert(id, cid);
-            sched.timer(now + self.core.fault_params.request_timeout, id);
-        }
+    /// Release the `Sync` waiters on `file` if its last in-flight write
+    /// just finished.
+    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
+        let (exchange, gather) = (&self.exchange, &self.gather);
+        self.core
+            .drain_syncs(file, now, sched, &|f| held_writes(exchange, gather, f));
     }
 
     /// Form a collective from gathered members: resolve offsets, clamp
@@ -459,13 +244,13 @@ impl Cio {
         &mut self,
         file: u32,
         write: bool,
-        members: Vec<Member>,
+        gathered: Vec<(OffsetSpec, Member)>,
         forced: bool,
         now: SimTime,
         sched: &mut Sched,
     ) {
         // Distinct participating nodes, sorted: the aggregator electorate.
-        let mut parts: Vec<NodeId> = members.iter().map(|m| m.node).collect();
+        let mut parts: Vec<NodeId> = gathered.iter().map(|(_, m)| m.node).collect();
         parts.sort_unstable();
         parts.dedup();
         let p = parts.len();
@@ -475,75 +260,44 @@ impl Cio {
 
         // Resolve offsets. `Ordered` assigns the shared pointer in
         // node-rank order; `Same` advances it once for the whole group.
-        let mut resolved: Vec<RMember> = Vec::with_capacity(members.len());
-        match members[0].spec {
-            OffsetSpec::At(_) => {
-                for m in &members {
-                    let OffsetSpec::At(offset) = m.spec else {
-                        unreachable!("mixed offset specs in one bucket")
-                    };
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
-                }
-            }
+        let spec = gathered[0].0;
+        let count = gathered.len() as u64;
+        let mut members: Vec<Member> = gathered.into_iter().map(|(_, m)| m).collect();
+        let st = self.core.files.state(file);
+        match spec {
+            OffsetSpec::At => {}
             OffsetSpec::Ordered => {
-                let st = self.core.files.state(file);
-                st.participants();
-                let mut ordered = members.clone();
-                let st = self.core.files.state(file);
-                ordered.sort_by_key(|m| st.rank_of(m.node));
-                for m in ordered {
-                    let st = self.core.files.state(file);
-                    let offset = st.shared_pos;
+                members.sort_by_key(|m| st.rank_of(m.node));
+                for m in &mut members {
+                    m.offset = st.shared_pos;
                     st.shared_pos += m.bytes;
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
                 }
             }
             OffsetSpec::Same => {
                 let bytes = members[0].bytes;
                 debug_assert!(members.iter().all(|m| m.bytes == bytes));
-                let st = self.core.files.state(file);
-                let offset = st.shared_pos;
-                st.shared_pos += bytes;
-                for m in &members {
-                    resolved.push(RMember {
-                        token: m.token,
-                        node: m.node,
-                        issued: m.issued,
-                        is_async: m.is_async,
-                        offset,
-                        bytes: m.bytes,
-                    });
+                for m in &mut members {
+                    m.offset = st.shared_pos;
                 }
+                st.shared_pos += bytes;
             }
         }
 
         // Clamp: writes extend the file, reads clamp to EOF. Members left
         // with nothing to move complete on the short software path.
-        let mut live: Vec<RMember> = Vec::with_capacity(resolved.len());
-        for mut m in resolved {
+        let mut live: Vec<Member> = Vec::with_capacity(members.len());
+        for mut m in members {
+            let st = self.core.files.state(file);
             if write {
-                self.core.files.state(file).extend_to(m.offset + m.bytes);
+                st.extend_to(m.offset + m.bytes);
             } else {
-                m.bytes = m
-                    .bytes
-                    .min(self.core.files.len_of(file).saturating_sub(m.offset));
+                m.bytes = m.bytes.min(st.len.saturating_sub(m.offset));
             }
             if m.bytes == 0 {
-                self.complete_empty_member(file, write, m, now, sched);
+                let done = now + SHORT_PATH;
+                self.core
+                    .recorder
+                    .complete_data(sched, file, write, &m, done, 0, None);
             } else {
                 live.push(m);
             }
@@ -562,20 +316,17 @@ impl Cio {
             })
             .collect();
         let domains = partition::partition(&self.core.cfg.layout, &extents);
+        let pending = Formed {
+            file,
+            write,
+            members: live,
+            domains,
+        };
 
         if p <= 1 {
             // Solo opener: a singleton collective has nothing to exchange.
             self.stats.singletons += 1;
-            self.dispatch_collective(
-                now,
-                PendingExchange {
-                    file,
-                    write,
-                    members: live,
-                    domains,
-                },
-                sched,
-            );
+            self.dispatch_collective(now, pending, sched);
             return;
         }
 
@@ -592,12 +343,12 @@ impl Cio {
             &cfg.comm,
             links.worst(),
             p as u32,
-            DESCRIPTOR_BYTES * members.len() as u64,
+            DESCRIPTOR_BYTES * count,
         );
         let mut shuffle = SimDuration::ZERO;
-        for d in &domains {
+        for d in &pending.domains {
             let aggregator = parts[d.io_node as usize % p];
-            for m in &live {
+            for m in &pending.members {
                 if m.node == aggregator {
                     continue;
                 }
@@ -617,31 +368,26 @@ impl Cio {
         let exchange = descriptors + shuffle;
         let ready = now + exchange;
         self.stats.collectives += 1;
-        self.stats.members += live.len() as u64;
+        self.stats.members += pending.members.len() as u64;
         self.stats.exchange += exchange;
 
         // The exchange is a real interval on the mesh: trace it on the
         // lead (lowest-numbered) participant, spanning formation → ready,
         // with the aggregate extent.
-        let union_lo = domains
+        let union_lo = pending
+            .domains
             .iter()
             .flat_map(|d| d.pieces.first())
             .map(|e| e.offset)
             .min()
             .unwrap_or(0);
-        let total: u64 = domains.iter().map(|d| d.bytes).sum();
+        let total: u64 = pending.domains.iter().map(|d| d.bytes).sum();
         self.core.recorder.record(
             IoEvent::new(parts[0], file, IoOp::IoWait)
                 .span(now.nanos(), ready.nanos())
                 .extent(union_lo, total),
         );
 
-        let pending = PendingExchange {
-            file,
-            write,
-            members: live,
-            domains,
-        };
         if ready > now {
             let id = self.core.timers.alloc();
             self.exchange.insert(id, pending);
@@ -674,7 +420,7 @@ impl Cio {
             return;
         }
         if !forced {
-            let mut nodes: Vec<NodeId> = members.iter().map(|m| m.node).collect();
+            let mut nodes: Vec<NodeId> = members.iter().map(|(_, m)| m.node).collect();
             nodes.sort_unstable();
             nodes.dedup();
             if nodes.len() < openers {
@@ -686,7 +432,12 @@ impl Cio {
     }
 
     /// Gather a data operation according to the file's mode, then check
-    /// the collective trigger.
+    /// the collective trigger. Offsets resolve at issue (no atomic-write
+    /// RPC: the conforming partition itself guarantees M_UNIX's
+    /// non-interleaving of concurrent writers; M_LOG's shared pointer
+    /// advances in arrival order with no token serialization, the exchange
+    /// orders the group), except M_SYNC's and M_GLOBAL's, which resolve at
+    /// formation.
     #[allow(clippy::too_many_arguments)]
     fn data_op(
         &mut self,
@@ -699,79 +450,27 @@ impl Cio {
         sched: &mut Sched,
     ) {
         let file = req.file;
-        let files = &self.core.files;
-        let mode = files.get(file).mode.unwrap_or_else(|| {
-            panic!(
-                "data op on closed file {} by node {node}",
-                files.get(file).spec.name
-            )
-        });
-        let spec = match mode {
-            AccessMode::MUnix | AccessMode::MAsync => {
-                let st = self.core.files.state(file);
-                let pos = st.pos.entry(node).or_insert(0);
-                let offset = req.offset.unwrap_or(*pos);
-                *pos = offset + req.bytes;
-                // No atomic-write RPC: the conforming partition itself
-                // guarantees M_UNIX's non-interleaving of concurrent
-                // writers.
-                OffsetSpec::At(offset)
-            }
-            AccessMode::MRecord => {
-                let st = self.core.files.state(file);
-                let rs = *st.record_size.get_or_insert(req.bytes);
-                assert_eq!(
-                    req.bytes, rs,
-                    "M_RECORD requires fixed-size records ({rs} B) on {}",
-                    st.spec.name
-                );
-                let n = st.participants().len() as u64;
-                let rank = st.rank_of(node);
-                let k = st.op_count.entry(node).or_insert(0);
-                let record_index = *k * n + rank;
-                *k += 1;
-                OffsetSpec::At(record_index * rs)
-            }
-            AccessMode::MLog => {
-                // The exchange orders the group; the shared pointer
-                // advances in arrival order with no token serialization.
-                let st = self.core.files.state(file);
-                let offset = st.shared_pos;
-                st.shared_pos += req.bytes;
-                OffsetSpec::At(offset)
-            }
-            AccessMode::MSync => OffsetSpec::Ordered,
-            AccessMode::MGlobal => OffsetSpec::Same,
+        let (mode, at) = self.core.resolve_offset(now, node, &req, is_async);
+        let spec = match (mode, at) {
+            (_, Some(_)) => OffsetSpec::At,
+            (AccessMode::MSync, None) => OffsetSpec::Ordered,
+            (_, None) => OffsetSpec::Same,
         };
-        // Trace the async issue itself, with the offset the request
-        // resolved to (shared-pointer specs resolve at formation; the
-        // issue event reports the current shared position).
-        if is_async {
-            let resolved = match spec {
-                OffsetSpec::At(o) => o,
-                OffsetSpec::Ordered | OffsetSpec::Same => self.core.files.get(file).shared_pos,
-            };
-            let issue_end = now + self.core.cfg.io_sw.async_issue;
-            self.core.recorder.record(
-                IoEvent::new(node, file, IoOp::AsyncRead)
-                    .span(now.nanos(), issue_end.nanos())
-                    .extent(resolved, req.bytes),
-            );
-        }
+        let m = Member {
+            token,
+            node,
+            issued: now,
+            is_async,
+            offset: at.unwrap_or(0),
+            bytes: req.bytes,
+        };
         let bucket = self.gather.entry(file).or_default();
         let members = if write {
             &mut bucket.writes
         } else {
             &mut bucket.reads
         };
-        members.push(Member {
-            token,
-            node,
-            issued: now,
-            is_async,
-            bytes: req.bytes,
-            spec,
-        });
+        members.push((spec, m));
         self.try_trigger(file, write, false, now, sched);
     }
 }
@@ -817,8 +516,8 @@ impl IoService for Cio {
                 // trigger: force-flush the file's write gather first, then
                 // wait out whatever is actually in flight.
                 self.try_trigger(file, true, true, now, sched);
-                let busy = writes_in_flight(&self.collectives, &self.exchange, &self.gather, file);
-                self.core.sync(now, token, node, file, busy, sched);
+                let held = held_writes(&self.exchange, &self.gather, file);
+                self.core.sync(now, token, node, file, held, sched);
             }
             IoVerb::Read => self.data_op(now, token, node, req, false, is_async, sched),
             IoVerb::Write => self.data_op(now, token, node, req, true, is_async, sched),
@@ -826,66 +525,20 @@ impl IoService for Cio {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        self.core.faults.arm_all(&mut self.core.timers, sched);
+        self.core.on_start(sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.core.timers.is_node_timer(timer) {
-            let faults = self.core.faults.enabled();
-            match self.core.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => debug_assert!(faults, "stale i/o-node timer on a healthy run"),
-                NodeTick::Rebuild => {}
-                NodeTick::Orphan => debug_assert!(faults, "segment with no owner"),
-                NodeTick::Seg {
-                    owner: cid,
-                    data_lost,
-                } => {
-                    let Some(c) = self.collectives.get_mut(&cid) else {
-                        debug_assert!(faults, "collective missing");
-                        return;
-                    };
-                    if data_lost {
-                        self.core.stats.data_loss_segments += 1;
-                        c.fault = Some(IoFault::DataLoss);
-                    }
-                    c.segs_left -= 1;
-                    if c.segs_left == 0 {
-                        let Some(c) = self.collectives.remove(&cid) else {
-                            debug_assert!(false, "collective vanished: {cid}");
-                            return;
-                        };
-                        self.finish_collective(c, now, sched);
-                    }
-                }
+        let (exchange, gather) = (&self.exchange, &self.gather);
+        let held = |f| held_writes(exchange, gather, f);
+        match self.core.on_timer(now, timer, sched, &held) {
+            Fired::Finished(req) => self.finish_collective(req, now, sched),
+            Fired::Foreign => {
+                // Phase-1 exchange complete: dispatch the collective.
+                let x = self.exchange.remove(&timer).expect("unknown timer");
+                self.dispatch_collective(now, x, sched);
             }
-        } else if let Some(ev) = self.core.faults.take(timer) {
-            // Only a node crash hands back segments: they take the buddy
-            // failover chain, and a collective no server accepts fails
-            // typed on every member.
-            for req in self.core.apply_fault(now, ev, sched) {
-                if let Some(cid) = self.core.reject_lost(now, ev.io_node, req, sched) {
-                    let members = self
-                        .collectives
-                        .get(&cid)
-                        .map_or(1, |c| c.members.len() as u64);
-                    self.core.stats.unavailable += members;
-                    self.fail_collective(cid, IoFault::Unavailable, now, sched);
-                }
-            }
-        } else if let Some(r) = self.core.pump.take_retry(timer) {
-            // Retry only while the owning collective is still alive.
-            if self.core.pump.owns(r.req.id) {
-                self.submit_or_fail(now, r.io, r.req, r.attempt, sched);
-            }
-        } else if let Some(cid) = self.timeout_timers.remove(&timer) {
-            if self.collectives.contains_key(&cid) {
-                self.core.stats.timeouts += 1;
-                self.fail_collective(cid, IoFault::Timeout, now, sched);
-            }
-        } else if !self.core.retry_meta(now, timer, sched) {
-            // Phase-1 exchange complete: dispatch the collective.
-            let x = self.exchange.remove(&timer).expect("unknown timer");
-            self.dispatch_collective(now, x, sched);
+            Fired::Handled | Fired::Segment { .. } | Fired::Lost(_) => {}
         }
     }
 

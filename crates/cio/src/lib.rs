@@ -19,10 +19,10 @@
 //!   PFS's metadata semantics from the embedded `sio_fskit::FsCore` (the
 //!   same code PFS runs), a per-file gather that triggers when every opener has
 //!   contributed, a timed extent-exchange phase (real mesh message costs),
-//!   and phase-2 aggregated dispatch through the shared [`SegmentPump`]
-//!   under the buddy-failover policy.
+//!   and phase-2 dispatch of the collective as one [`Request`] under the
+//!   core's buddy-failover lifecycle, the one PFS requests run.
 //!
-//! [`SegmentPump`]: sio_fskit::SegmentPump
+//! [`Request`]: sio_fskit::Request
 
 pub use sio_fskit::{file, layout, mode};
 

@@ -68,11 +68,12 @@ impl FaultRouter {
 
 /// Counters for the fault-handling machinery (all zero on a healthy run).
 ///
-/// PFS counts per request. CIO fails whole collectives, so there
-/// `timeouts` counts collectives and `unavailable` counts the member
-/// requests of the collectives no server would accept (plus one per
-/// metadata RPC that exhausted its retries, as on PFS). PPFS keeps the
-/// record but reports its own counters instead.
+/// One rule on every backend that rides the core's request lifecycle:
+/// `timeouts` counts requests — a PFS op, a PFS `M_GLOBAL` group, a CIO
+/// collective — and `unavailable` counts member operations, so a failed
+/// group or collective adds one per participant (plus one per metadata RPC
+/// that exhausted its retries). PPFS keeps the record but reports its own
+/// counters instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Segment re-submissions scheduled with backoff.
@@ -83,9 +84,9 @@ pub struct FaultStats {
     pub lost_segments: u64,
     /// Segments served from an array with exhausted redundancy.
     pub data_loss_segments: u64,
-    /// Requests failed by the hard deadline.
+    /// Requests (ops, groups or collectives) failed by the hard deadline.
     pub timeouts: u64,
-    /// Requests failed because no server would accept them.
+    /// Member operations failed because no server would accept them.
     pub unavailable: u64,
     /// Second-failure events that exhausted an array's redundancy.
     pub data_loss_events: u64,

@@ -153,6 +153,34 @@ impl FileState {
             as u64
     }
 
+    /// M_UNIX/M_ASYNC (and PPFS's client pointers): the op's offset —
+    /// explicit, else `node`'s pointer — with the pointer moved past it.
+    pub fn advance_pointer(&mut self, node: NodeId, explicit: Option<u64>, bytes: u64) -> u64 {
+        let pos = self.pos.entry(node).or_insert(0);
+        let offset = explicit.unwrap_or(*pos);
+        *pos = offset + bytes;
+        offset
+    }
+
+    /// M_RECORD: the offset of `node`'s next fixed-size record — its
+    /// `k`-th record among `n` participants lands at `(k·n+rank)·rs` — and
+    /// count it. The first access fixes the record size `rs`; panics on a
+    /// different one.
+    pub fn next_record(&mut self, node: NodeId, bytes: u64) -> u64 {
+        let rs = *self.record_size.get_or_insert(bytes);
+        assert_eq!(
+            bytes, rs,
+            "M_RECORD requires fixed-size records ({rs} B) on {}",
+            self.spec.name
+        );
+        let n = self.participants().len() as u64;
+        let rank = self.rank_of(node);
+        let k = self.op_count.entry(node).or_insert(0);
+        let offset = (*k * n + rank) * rs;
+        *k += 1;
+        offset
+    }
+
     /// Extend length after a write ending at `end`.
     pub fn extend_to(&mut self, end: u64) {
         self.len = self.len.max(end);

@@ -15,13 +15,19 @@
 //! * `Sync` commits: park while the file has writes in flight, drain once
 //!   the last one lands, report [`IoFault::DataLoss`] when an array has
 //!   exhausted its redundancy;
-//! * delivery of a [`FaultSchedule`] — every fault kind except the fate of
-//!   the segments a crashed node loses, which is backend policy;
+//! * delivery of a [`FaultSchedule`], including sending the segments a
+//!   crashed node loses down the pump's failover policy;
+//! * the buddy-failover data-request lifecycle ([`crate::request`]):
+//!   staging, tracking, give-up, deadlines and the typed fan-out of a
+//!   failure to every member;
+//! * one timer entry point, [`FsCore::on_timer`], for node-completion
+//!   ticks, fault deliveries, pump retries, request deadlines and metadata
+//!   probes;
 //! * one [`FaultStats`] record.
 //!
 //! A backend passes in only what it alone knows: the parsed access mode of
-//! an `Open`, whether a file still has writes in flight, and what to do
-//! with segments lost in a node crash.
+//! an `Open`, which writes it still holds back from the I/O nodes, and what
+//! a finished request means for its members.
 
 use paragon_sim::calibration::FaultParams;
 use paragon_sim::engine::Sched;
@@ -40,8 +46,9 @@ use crate::fault::{FaultRouter, FaultStats};
 use crate::file::FileSpec;
 use crate::lanes::TimerLanes;
 use crate::mode::AccessMode;
-use crate::pump::{backoff_delay, FailoverPolicy, NodeLoad, SegmentPump};
+use crate::pump::{backoff_delay, FailoverPolicy, NodeLoad, NodeTick, SegmentPump};
 use crate::recorder::TraceRecorder;
+use crate::request::{Fired, Held, Request};
 use crate::sync::{SyncLedger, SyncWaiter};
 use crate::table::{FileTable, MetaServer, MetaStats, MetaVerdict};
 
@@ -99,6 +106,11 @@ pub struct FsCore {
     owner_free: Vec<SimTime>,
     /// `Sync` commits parked until their file has no writes in flight.
     syncs: SyncLedger,
+    /// Tracked data requests (request id → request).
+    pub(crate) requests: FastMap<u64, Request>,
+    pub(crate) next_request: u64,
+    /// Armed request deadlines (timer id → request id).
+    pub(crate) deadlines: FastMap<u64, u64>,
 }
 
 impl FsCore {
@@ -130,6 +142,9 @@ impl FsCore {
             parked_meta: FastMap::default(),
             owner_free: Vec::new(),
             syncs: SyncLedger::new(),
+            requests: FastMap::default(),
+            next_request: 0,
+            deadlines: FastMap::default(),
             cfg,
         }
     }
@@ -379,7 +394,7 @@ impl FsCore {
     /// replicas and return `true`: the RPC completes, parks again while the
     /// retry budget lasts, or surfaces the outage as a typed
     /// [`IoFault::Unavailable`] — it never hangs.
-    pub fn retry_meta(&mut self, now: SimTime, timer: u64, sched: &mut Sched) -> bool {
+    fn retry_meta(&mut self, now: SimTime, timer: u64, sched: &mut Sched) -> bool {
         let Some(mut parked) = self.parked_meta.remove(&timer) else {
             return false;
         };
@@ -422,19 +437,20 @@ impl FsCore {
 
     // -- `Sync` commits -----------------------------------------------------
 
-    /// Commit `file`: park until its in-flight writes land when
-    /// `outstanding` says there are any, else acknowledge now. Traced as
-    /// Forflush — the paper's vocabulary has no separate commit row.
+    /// Commit `file`: park while a tracked write request on it is in
+    /// flight or the backend still `held` writes on it, else acknowledge
+    /// now. Traced as Forflush — the paper's vocabulary has no separate
+    /// commit row.
     pub fn sync(
         &mut self,
         now: SimTime,
         token: IoToken,
         node: NodeId,
         file: u32,
-        outstanding: bool,
+        held: bool,
         sched: &mut Sched,
     ) {
-        if outstanding {
+        if held || self.writes_in_flight(file) {
             self.syncs.park(SyncWaiter {
                 token,
                 node,
@@ -446,18 +462,13 @@ impl FsCore {
         }
     }
 
-    /// Release every `Sync` waiter on `file` once `outstanding` reports no
-    /// writes in flight (a failed write also unblocks the commit; the
-    /// caller sees the failure on the write itself). The ledger is checked
-    /// first, so the backend's scan runs only while a commit is parked.
-    pub fn drain_sync_waiters(
-        &mut self,
-        file: u32,
-        now: SimTime,
-        sched: &mut Sched,
-        outstanding: impl FnOnce() -> bool,
-    ) {
-        if self.syncs.is_empty() || outstanding() {
+    /// Release every `Sync` waiter on `file` once no write on it is in
+    /// flight: no tracked write request, and none the backend `held` (a
+    /// failed write also unblocks the commit; the caller sees the failure
+    /// on the write itself). The ledger is checked first, so the scans run
+    /// only while a commit is parked.
+    pub fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched, held: Held) {
+        if self.syncs.is_empty() || self.writes_in_flight(file) || held(file) {
             return;
         }
         for w in self.syncs.take_for(file) {
@@ -490,18 +501,79 @@ impl FsCore {
         );
     }
 
-    // -- faults and the pump ------------------------------------------------
+    // -- timers, faults and the pump ----------------------------------------
 
-    /// Apply one scheduled fault event. Every kind is handled here except
-    /// the fate of the segments a `NodeCrash` loses: those are returned
-    /// (and counted in `lost_segments`) for the backend's policy — a retry
-    /// chain, buddy failover, or a replay park. Other kinds return nothing.
-    pub fn apply_fault(
-        &mut self,
-        now: SimTime,
-        ev: FaultEvent,
-        sched: &mut Sched,
-    ) -> Vec<SegmentReq> {
+    /// Arm the fault schedule's deliveries at run start.
+    pub fn on_start(&mut self, sched: &mut Sched) {
+        self.faults.arm_all(&mut self.timers, sched);
+    }
+
+    /// The backend's timer entry point. The core claims I/O-node completion
+    /// ticks (counting tracked requests' segments home), fault deliveries,
+    /// pump retries, request deadlines and metadata probes, and hands back
+    /// only what the backend must decide — see [`Fired`]. `held` is the
+    /// backend's view of the writes it still holds, for releasing `Sync`s
+    /// when a request fails.
+    pub fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched, held: Held) -> Fired {
+        if self.timers.is_node_timer(timer) {
+            let faults = self.faults.enabled();
+            // Stale ticks happen only under faults (a stall postponed the
+            // completion, or a crash voided it); orphaned segments mean the
+            // owning request already failed.
+            match self.pump.node_tick(now, timer, sched) {
+                NodeTick::Stale => debug_assert!(faults, "stale i/o-node timer on a healthy run"),
+                // Background rebuild traffic: no owner to advance.
+                NodeTick::Rebuild => {}
+                NodeTick::Orphan => debug_assert!(faults, "segment with no owner"),
+                // Stripe-pinned backends track their own transfers.
+                NodeTick::Seg { owner, data_lost }
+                    if self.pump.policy() == FailoverPolicy::StripePinned =>
+                {
+                    return Fired::Segment { owner, data_lost };
+                }
+                NodeTick::Seg { owner, data_lost } => match self.requests.get_mut(&owner) {
+                    Some(req) => {
+                        if data_lost {
+                            self.stats.data_loss_segments += 1;
+                        }
+                        if req.segment_landed(data_lost) {
+                            if let Some(req) = self.requests.remove(&owner) {
+                                return Fired::Finished(req);
+                            }
+                        }
+                    }
+                    None => debug_assert!(faults, "request missing"),
+                },
+            }
+        } else if let Some(ev) = self.faults.take(timer) {
+            let lost = self.apply_fault(now, ev, sched);
+            for seg in &lost {
+                if let Some(owner) = self.reject_lost(now, ev.io_node, *seg, sched) {
+                    self.give_up(owner, now, sched, held);
+                }
+            }
+            if !lost.is_empty() {
+                return Fired::Lost(lost);
+            }
+        } else if let Some(r) = self.pump.take_retry(timer) {
+            // Retry only while the owning request is still alive.
+            if self.pump.owns(r.req.id) {
+                self.submit_or_fail(now, r.io, r.req, r.attempt, sched, held);
+            }
+        } else if let Some(id) = self.deadlines.remove(&timer) {
+            if let Some(req) = self.requests.remove(&id) {
+                self.stats.timeouts += 1;
+                self.fail(req, IoFault::Timeout, now, sched, held);
+            }
+        } else if !self.retry_meta(now, timer, sched) {
+            return Fired::Foreign;
+        }
+        Fired::Handled
+    }
+
+    /// Apply one scheduled fault event. A `NodeCrash` returns the segments
+    /// it lost (counted in `lost_segments`); other kinds return nothing.
+    fn apply_fault(&mut self, now: SimTime, ev: FaultEvent, sched: &mut Sched) -> Vec<SegmentReq> {
         let io = ev.io_node;
         match ev.kind {
             FaultKind::DiskFail { disk } => {
@@ -541,10 +613,10 @@ impl FsCore {
         Vec::new()
     }
 
-    /// Send a segment lost in a crash of node `io` down the failover chain,
-    /// if its owner is still alive; returns the owner to fail when no
-    /// server will take it.
-    pub fn reject_lost(
+    /// Send a segment lost in a crash of node `io` down the failover
+    /// policy — buddy retry or a replay park — if its owner is still alive;
+    /// returns the owner to fail when no server will take it.
+    fn reject_lost(
         &mut self,
         now: SimTime,
         io: u32,

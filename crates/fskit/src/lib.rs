@@ -12,7 +12,11 @@
 //! is only the semantics it adds on top. The building blocks:
 //!
 //! * [`fscore`] — [`FsCore`], the embedded substrate, and the one copy of
-//!   metadata routing, `Sync` completion and fault application;
+//!   metadata routing, `Sync` completion, fault application and timer
+//!   routing ([`FsCore::on_timer`]);
+//! * [`request`] — the buddy-failover data-request lifecycle PFS and CIO
+//!   share: a [`Request`] of one or more [`Member`] ops, staged, tracked,
+//!   given up, timed out and failed typed to every member by the core;
 //! * [`config`] — [`FsConfig`], the machine-derived substrate configuration
 //!   (stripe map, software costs, fixed-slot allocator geometry);
 //! * [`layout`] — the 64 KB round-robin stripe map from file offsets to
@@ -52,6 +56,7 @@ pub mod layout;
 pub mod mode;
 pub mod pump;
 pub mod recorder;
+pub mod request;
 pub mod sync;
 pub mod table;
 
@@ -65,5 +70,6 @@ pub use layout::{Segment, StripeLayout};
 pub use mode::AccessMode;
 pub use pump::{FailoverPolicy, NodeLoad, NodeTick, PumpStats, RetrySeg, SegmentPump};
 pub use recorder::TraceRecorder;
+pub use request::{Fired, Member, Members, Request, Staging, SHORT_PATH};
 pub use sync::{SyncLedger, SyncWaiter};
 pub use table::{FileTable, MetaServer, MetaStats, MetaVerdict};

@@ -9,7 +9,7 @@
 //! * [`FailoverPolicy::Buddy`] (PFS, CIO) — bounded backoff retries against the
 //!   target node, then reconstruct from redundancy on the buddy node
 //!   `(io + 1) % n`, and only if the buddy also refuses give the owning
-//!   request up (the pump reports the owner; the backend fails the token);
+//!   request up (the pump reports the owner; the core fails the request);
 //! * [`FailoverPolicy::StripePinned`] (PPFS) — segments target a fixed
 //!   stripe position, so a down node parks the segment for replay on
 //!   recovery, and a full queue retries forever with capped backoff
@@ -110,17 +110,24 @@ pub enum NodeTick {
     },
 }
 
-/// A staged (not yet submitted) extent: the per-node segment requests and
-/// the segment ids allocated for them, in dispatch order.
-pub type StagedExtent = (Vec<(u32, SegmentReq)>, Vec<u64>);
+/// A staged (not yet submitted) request: its per-node segment requests in
+/// dispatch order, with consecutive segment ids.
+pub type StagedExtent = Vec<(u32, SegmentReq)>;
+
+/// Whether any run, placed at `slot_base` in node-local space, ends past
+/// the array capacity.
+fn overflows(runs: &[Segment], slot_base: u64, capacity: u64) -> bool {
+    runs.iter()
+        .any(|s| slot_base + s.local_offset + s.bytes > capacity)
+}
 
 /// The segment pump over a machine's I/O nodes.
 pub struct SegmentPump {
     ionodes: Vec<IoNodeSim>,
     policy: FailoverPolicy,
     retry_base: SimDuration,
-    /// Completed-segment routing: segment id → owner (request token for
-    /// PFS, transfer id for PPFS — both are `u64`).
+    /// Completed-segment routing: segment id → owner (the core's request
+    /// id for PFS and CIO, the transfer id for PPFS — both are `u64`).
     seg_owner: FastMap<u64, u64>,
     next_seg: u64,
     /// Reused stripe-decomposition buffer (hot path: one per request
@@ -198,126 +205,105 @@ impl SegmentPump {
         }
     }
 
-    /// Stage an extent for two-phase dispatch: decompose into stripe
-    /// segments, check every segment against the allocator slot, allocate
-    /// segment ids, and register `owner` — without submitting anything.
-    /// The caller records the ids (for cleanup on early failure), inserts
-    /// its own pending state, then submits the returned requests one by one,
-    /// so a rejection chain observed mid-loop can fail the whole owner.
-    ///
-    /// A segment overflowing its allocator slot is a typed
-    /// [`IoFault::Unavailable`] (checked before any id is allocated), not a
-    /// debug assertion.
+    /// The failover policy the pump runs under.
+    pub fn policy(&self) -> FailoverPolicy {
+        self.policy
+    }
+
+    /// Decompose `[offset, offset + bytes)` into the reused scratch buffer;
+    /// the caller hands the buffer back through `seg_scratch`.
+    fn decompose(&mut self, layout: &StripeLayout, offset: u64, bytes: u64) -> Vec<Segment> {
+        let mut segments = std::mem::take(&mut self.seg_scratch);
+        segments.clear();
+        layout.segments_into(offset, bytes, &mut segments);
+        segments
+    }
+
+    /// Whether `[offset, offset + bytes)` of a file whose allocator slot
+    /// starts at `slot_base` lies within the arrays — the capacity check
+    /// [`SegmentPump::stage_extent`] applies — without staging anything.
+    pub fn fits(
+        &mut self,
+        layout: &StripeLayout,
+        slot_base: u64,
+        capacity: u64,
+        offset: u64,
+        bytes: u64,
+    ) -> bool {
+        let segments = self.decompose(layout, offset, bytes);
+        let fits = !overflows(&segments, slot_base, capacity);
+        self.seg_scratch = segments;
+        fits
+    }
+
+    /// Stage an extent: decompose it into stripe segments (one per touched
+    /// I/O node) and stage those with [`SegmentPump::stage_runs`]. This is
+    /// the one place a file extent becomes segment requests.
     #[allow(clippy::too_many_arguments)]
     pub fn stage_extent(
         &mut self,
         layout: &StripeLayout,
         slot_base: u64,
-        array_capacity: u64,
+        capacity: u64,
         offset: u64,
         bytes: u64,
         write: bool,
         owner: u64,
     ) -> Result<StagedExtent, IoFault> {
-        let mut segments = std::mem::take(&mut self.seg_scratch);
-        segments.clear();
-        layout.segments_into(offset, bytes, &mut segments);
-        if segments
-            .iter()
-            .any(|s| slot_base + s.local_offset + s.bytes > array_capacity)
-        {
-            self.seg_scratch = segments;
+        let segments = self.decompose(layout, offset, bytes);
+        let staged = self.stage_runs(&segments, slot_base, capacity, write, false, owner);
+        self.seg_scratch = segments;
+        staged
+    }
+
+    /// Stage per-I/O-node runs of a file's node-local space (from
+    /// [`SegmentPump::stage_extent`], or the two-phase collective's
+    /// pre-aggregated file domains, which stream `sequential`ly on the
+    /// array): allocate consecutive segment ids, register `owner`, count
+    /// them — without submitting anything. The caller tracks its request,
+    /// then submits the segments one by one, so a rejection chain observed
+    /// mid-loop can fail the whole owner.
+    ///
+    /// A run overflowing the array capacity is a typed
+    /// [`IoFault::Unavailable`] (checked before any id is allocated), not a
+    /// debug assertion.
+    pub fn stage_runs(
+        &mut self,
+        runs: &[Segment],
+        slot_base: u64,
+        capacity: u64,
+        write: bool,
+        sequential: bool,
+        owner: u64,
+    ) -> Result<StagedExtent, IoFault> {
+        if overflows(runs, slot_base, capacity) {
             return Err(IoFault::Unavailable);
         }
-        let mut reqs = Vec::with_capacity(segments.len());
-        let mut seg_ids = Vec::with_capacity(segments.len());
-        for seg in &segments {
+        let mut staged = Vec::with_capacity(runs.len());
+        for run in runs {
             let id = self.next_seg;
             self.next_seg += 1;
             self.seg_owner.insert(id, owner);
-            seg_ids.push(id);
             self.stats.segments += 1;
-            reqs.push((
-                seg.io_node,
+            staged.push((
+                run.io_node,
                 SegmentReq {
                     id,
-                    offset: slot_base + seg.local_offset,
-                    bytes: seg.bytes,
+                    offset: slot_base + run.local_offset,
+                    bytes: run.bytes,
                     write,
-                    sequential: false,
+                    sequential,
                     failover: false,
                 },
             ));
         }
-        self.seg_scratch = segments;
-        Ok((reqs, seg_ids))
-    }
-
-    /// Stage one pre-aggregated segment (the two-phase collective shape:
-    /// the caller already merged member extents into a single per-I/O-node
-    /// array run): allocate its id, register `owner`, count it — without
-    /// submitting. Aggregated transfers stream sequentially on the array.
-    pub fn stage_seg(&mut self, offset: u64, bytes: u64, write: bool, owner: u64) -> SegmentReq {
-        let id = self.next_seg;
-        self.next_seg += 1;
-        self.seg_owner.insert(id, owner);
-        self.stats.segments += 1;
-        SegmentReq {
-            id,
-            offset,
-            bytes,
-            write,
-            sequential: true,
-            failover: false,
-        }
-    }
-
-    /// One-phase dispatch: decompose, allocate, and submit each segment of
-    /// an extent immediately, owned by `owner`. Returns the segment count.
-    /// This is the stripe-pinned path — submission can park or retry but
-    /// never gives an owner up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit_extent(
-        &mut self,
-        now: SimTime,
-        layout: &StripeLayout,
-        slot_base: u64,
-        offset: u64,
-        bytes: u64,
-        write: bool,
-        owner: u64,
-        timers: &mut TimerLanes,
-        sched: &mut Sched,
-    ) -> u32 {
-        let mut segs = std::mem::take(&mut self.seg_scratch);
-        segs.clear();
-        layout.segments_into(offset, bytes, &mut segs);
-        let mut count = 0;
-        for &seg in &segs {
-            let id = self.next_seg;
-            self.next_seg += 1;
-            self.seg_owner.insert(id, owner);
-            let req = SegmentReq {
-                id,
-                offset: slot_base + seg.local_offset,
-                bytes: seg.bytes,
-                write,
-                sequential: false,
-                failover: false,
-            };
-            let gave_up = self.submit_seg(now, seg.io_node, req, 0, timers, sched);
-            debug_assert!(gave_up.is_none(), "extent submission cannot give up");
-            count += 1;
-            self.stats.segments += 1;
-        }
-        self.seg_scratch = segs;
-        count
+        Ok(staged)
     }
 
     /// Submit one segment to an I/O node, handling explicit backpressure
     /// under the pump's failover policy. Returns the owner of the segment
     /// when the request must be given up (primary and buddy both refused —
-    /// Buddy policy only): the backend fails the owning token at exactly
+    /// Buddy policy only): the caller fails the owning request at exactly
     /// this point in the call sequence.
     pub fn submit_seg(
         &mut self,
@@ -521,11 +507,6 @@ impl SegmentPump {
         self.ionodes[io as usize].crash()
     }
 
-    /// Park a lost segment for resubmission when its node recovers.
-    pub fn park_replay(&mut self, io: u32, req: SegmentReq) {
-        self.replay.push((io, req));
-    }
-
     /// Recover a crashed node (and resume any interrupted rebuild).
     pub fn recover(&mut self, now: SimTime, io: u32, sched: &mut Sched) {
         self.ionodes[io as usize].recover();
@@ -653,14 +634,24 @@ mod tests {
 
         // A max-slot-size aggregated segment occupies node 0...
         let big = DEFAULT_FILE_SLOT;
-        let first = pump.stage_seg(0, big, true, 1);
+        let mut stage = |local_offset: u64, owner: u64| {
+            let run = Segment {
+                io_node: 0,
+                local_offset,
+                bytes: big,
+            };
+            pump.stage_runs(&[run], 0, u64::MAX, true, true, owner)
+                .unwrap()[0]
+                .1
+        };
+        let first = stage(0, 1);
+        let mut req = stage(big, 2);
         assert!(pump
             .submit_seg(SimTime::ZERO, 0, first, 0, &mut timers, &mut sched)
             .is_none());
 
         // ...so an equally large follow-up bounces QueueFull well past
         // `max_retries`. It must neither fail over nor give up.
-        let mut req = pump.stage_seg(big, big, true, 2);
         let mut now = SimTime::ZERO;
         let mut attempt = 0;
         for round in 0..12u32 {

@@ -6,15 +6,7 @@ use paragon_sim::{NodeId, SimDuration, SimTime};
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::trace::{Trace, TraceSink};
 
-/// The trace/result op kind of a data request: writes are `Write` whether
-/// blocking or not; an asynchronous read is traced as `AsyncRead`.
-pub fn data_op_kind(write: bool, is_async: bool) -> IoOp {
-    match (write, is_async) {
-        (true, _) => IoOp::Write,
-        (false, false) => IoOp::Read,
-        (false, true) => IoOp::AsyncRead,
-    }
-}
+use crate::request::Member;
 
 /// Records every application-visible interval into a Pablo-style
 /// [`TraceSink`] and owns the record + acknowledge boilerplate every verb
@@ -83,6 +75,42 @@ impl TraceRecorder {
                 queued: SimDuration::ZERO,
                 service: done.since(start),
                 fault: None,
+            },
+        );
+    }
+
+    /// Complete one application data op at `done` with `bytes` and
+    /// `fault`: trace its blocking interval `issued..done` at
+    /// `(offset, bytes)` — unless it is asynchronous, whose issue was traced
+    /// at submit and whose wait the engine's `on_iowait` hook traces — then
+    /// acknowledge its token.
+    #[allow(clippy::too_many_arguments)]
+    pub fn complete_data(
+        &mut self,
+        sched: &mut Sched,
+        file: u32,
+        write: bool,
+        m: &Member,
+        done: SimTime,
+        bytes: u64,
+        fault: Option<IoFault>,
+    ) {
+        if !m.is_async {
+            let op = if write { IoOp::Write } else { IoOp::Read };
+            self.record(
+                IoEvent::new(m.node, file, op)
+                    .span(m.issued.nanos(), done.nanos())
+                    .extent(m.offset, bytes),
+            );
+        }
+        sched.complete_io(
+            m.token,
+            done,
+            IoResult {
+                bytes,
+                queued: SimDuration::ZERO,
+                service: done.since(m.issued),
+                fault,
             },
         );
     }

@@ -10,101 +10,59 @@
 //!   Table 5). All of this is [`FsCore`]'s, shared with CIO;
 //! * **data path** — the access mode resolves the request's offset
 //!   (per-node pointer, shared pointer with token serialization, record
-//!   interleaving, or collective coalescing), then the request is staged and
-//!   pushed through the shared segment pump under the buddy-failover
-//!   policy, and completes when its last segment does plus the client copy
-//!   cost;
+//!   interleaving, or collective coalescing), then the op goes to the
+//!   I/O nodes as one [`Request`] under the core's buddy-failover
+//!   lifecycle, and completes when its last segment does plus the client
+//!   copy cost;
 //! * **tracing** — every application-visible call is recorded; asynchronous
 //!   reads record their issue cost, and the engine's `on_iowait` hook
 //!   records the un-overlapped wait, exactly the two rows RENDER's Table 3
 //!   reports.
 //!
 //! Everything mode-agnostic lives in the embedded [`FsCore`]; this module
-//! is the PFS *policy* over that substrate: access-mode resolution,
-//! request completion, and the typed failure of a request whose segments
-//! no server will take.
+//! is the PFS *policy* over that substrate: the serialized acquisitions of
+//! `M_UNIX` writes and `M_LOG`, `M_SYNC` turn order, `M_GLOBAL` coalescing,
+//! and request completion — one client copy, plus a broadcast to an
+//! `M_GLOBAL` group.
 
 use paragon_sim::engine::{IoService, Sched};
 use paragon_sim::fault::FaultSchedule;
-use paragon_sim::ionode::SegmentReq;
-use paragon_sim::program::{IoFault, IoRequest, IoResult, IoToken, IoVerb};
+use paragon_sim::program::{IoRequest, IoToken, IoVerb};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
-use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::FastMap;
 use sio_core::trace::TraceSink;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{FailoverPolicy, NodeTick};
-use sio_fskit::recorder::data_op_kind;
-use sio_fskit::FsCore;
+use sio_fskit::pump::FailoverPolicy;
+use sio_fskit::{Fired, FsCore, Member, Members, Request, Staging, SHORT_PATH};
 use std::collections::BTreeMap;
 
-#[derive(Debug)]
-struct Pending {
+/// A data op waiting its turn: a serialized acquisition, or an `M_SYNC`
+/// slot.
+#[derive(Debug, Clone, Copy)]
+struct Op {
     file: u32,
     write: bool,
-    is_async: bool,
-    offset: u64,
-    bytes: u64,
-    issued: SimTime,
-    node: NodeId,
-    segs_left: u32,
-    /// Segment ids issued for this request (cleanup on early failure).
-    seg_ids: Vec<u64>,
-    /// First fault observed on any segment of this request.
-    fault: Option<IoFault>,
-    /// Extra completers for M_GLOBAL collectives: (token, node, issued).
-    collective: Vec<(IoToken, NodeId, SimTime)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Deferred {
-    token: IoToken,
-    node: NodeId,
-    file: u32,
-    write: bool,
-    is_async: bool,
-    offset: u64,
-    bytes: u64,
-    issued: SimTime,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ParkedSync {
-    token: IoToken,
-    write: bool,
-    bytes: u64,
-    issued: SimTime,
-    is_async: bool,
+    m: Member,
 }
 
 /// The Intel PFS model.
 pub struct Pfs {
     /// The shared substrate: file table, segment pump (buddy-failover
-    /// policy), metadata server, faults, `Sync` ledger, trace.
+    /// policy), request lifecycle, metadata server, faults, `Sync` ledger,
+    /// trace.
     pub core: FsCore,
-    pending: FastMap<IoToken, Pending>,
-    /// Data operations waiting for a serialized token or RPC (timer id →
-    /// operation).
-    deferred: FastMap<u64, Deferred>,
-    /// M_GLOBAL coalescing: file -> waiting participants.
-    #[allow(clippy::type_complexity)]
-    global_waiting: FastMap<u32, Vec<(IoToken, NodeId, SimTime, bool, u64)>>,
-    /// M_SYNC parking: file -> node -> parked request.
-    sync_parked: FastMap<u32, BTreeMap<NodeId, ParkedSync>>,
-    /// Armed per-request deadline timers (timer id -> request token).
-    timeout_timers: FastMap<u64, IoToken>,
+    /// Data ops waiting for a serialized token or RPC (timer id → op).
+    deferred: FastMap<u64, Op>,
+    /// M_GLOBAL coalescing: file → waiting participants.
+    global_waiting: FastMap<u32, Vec<Member>>,
+    /// M_SYNC parking: file → node → parked op.
+    sync_parked: FastMap<u32, BTreeMap<NodeId, Op>>,
 }
 
-/// Whether `file` still has in-flight (dispatched or deferred) writes — the
-/// data a `Sync` commit must wait out. PFS is write-through, so once these
-/// land the bytes are on the arrays.
-fn writes_in_flight(
-    pending: &FastMap<IoToken, Pending>,
-    deferred: &FastMap<u64, Deferred>,
-    file: u32,
-) -> bool {
-    pending.values().any(|p| p.file == file && p.write)
-        || deferred.values().any(|d| d.file == file && d.write)
+/// Whether `file` has a write still waiting out a serialized acquisition:
+/// a `Sync` waits for it as for a write in flight.
+fn deferred_writes(deferred: &FastMap<u64, Op>, file: u32) -> bool {
+    deferred.values().any(|d| d.file == file && d.write)
 }
 
 impl Pfs {
@@ -123,16 +81,14 @@ impl Pfs {
         };
         Pfs {
             core: FsCore::new(machine, sink, schedule, failover, 0),
-            pending: FastMap::default(),
             deferred: FastMap::default(),
             global_waiting: FastMap::default(),
             sync_parked: FastMap::default(),
-            timeout_timers: FastMap::default(),
         }
     }
 
     /// Accept one coalesced burst-log drain extent as a background write:
-    /// the full dispatch path (staging, backoff, buddy failover, fault
+    /// the full request lifecycle (staging, backoff, buddy failover, fault
     /// typing, timeouts) with no application-visible trace event — the
     /// caller owns `token` and hears the completion through `sched`.
     #[allow(clippy::too_many_arguments)]
@@ -146,208 +102,78 @@ impl Pfs {
         token: IoToken,
         sched: &mut Sched,
     ) {
-        self.dispatch(
-            now,
+        let m = Member {
             token,
             node,
-            file,
-            true,
+            issued: now,
+            is_async: true,
             offset,
             bytes,
-            now,
-            true,
-            Vec::new(),
-            sched,
-        );
+        };
+        self.dispatch(now, file, true, Members::One(m), sched);
     }
 
-    /// Dispatch a resolved data operation to the I/O nodes.
-    #[allow(clippy::too_many_arguments)]
+    /// Send a resolved data op — or a coalesced `M_GLOBAL` group, whose
+    /// members share one extent — to the I/O nodes.
     fn dispatch(
         &mut self,
         now: SimTime,
-        token: IoToken,
-        node: NodeId,
         file: u32,
         write: bool,
-        offset: u64,
-        bytes: u64,
-        issued: SimTime,
-        is_async: bool,
-        collective: Vec<(IoToken, NodeId, SimTime)>,
+        mut members: Members,
         sched: &mut Sched,
     ) {
-        let eff_bytes = {
-            let st = self.core.files.state(file);
-            if write {
-                st.extend_to(offset + bytes);
-                bytes
-            } else {
-                bytes.min(st.len.saturating_sub(offset))
-            }
+        let Member { offset, bytes, .. } = members[0];
+        let st = self.core.files.state(file);
+        let bytes = if write {
+            st.extend_to(offset + bytes);
+            bytes
+        } else {
+            bytes.min(st.len.saturating_sub(offset))
         };
-        let mut p = Pending {
-            file,
-            write,
-            is_async,
-            offset,
-            bytes: eff_bytes,
-            issued,
-            node,
-            segs_left: 0,
-            seg_ids: Vec::new(),
-            fault: None,
-            collective,
-        };
-        if eff_bytes == 0 {
+        for m in members.iter_mut() {
+            m.bytes = bytes;
+        }
+        let req = Request::new(file, write, members);
+        if bytes == 0 {
             // Nothing to move: a short software path only.
-            let done = now + SimDuration::from_micros(200);
-            self.finish(p, token, done, sched);
+            self.finish(req, now + SHORT_PATH, sched);
             return;
         }
-        let core = &mut self.core;
-        let staged = core.pump.stage_extent(
-            &core.cfg.layout,
-            core.files.slot_base(file),
-            core.cfg.array_capacity,
-            offset,
-            eff_bytes,
-            write,
-            token,
-        );
-        let reqs = match staged {
-            Ok((reqs, seg_ids)) => {
-                p.segs_left = reqs.len() as u32;
-                p.seg_ids = seg_ids;
-                reqs
-            }
-            Err(fault) => {
-                // The request overflows its allocator slot: a typed
-                // data-path failure on this request, not a crash of the run.
-                self.pending.insert(token, p);
-                self.core.stats.unavailable += 1;
-                self.fail_token(token, fault, now, sched);
-                return;
-            }
-        };
-        // The request must be pending before any segment is submitted: a
-        // rejection chain (both primary and buddy down) can fail the whole
-        // token mid-loop.
-        self.pending.insert(token, p);
-        for (io, req) in reqs {
-            self.submit_or_fail(now, io, req, 0, sched);
-        }
-        if self.core.faults.enabled() && self.pending.contains_key(&token) {
-            // Hard per-request deadline: no request hangs forever under a
-            // fault schedule with no recovery.
-            let id = self.core.timers.alloc();
-            self.timeout_timers.insert(id, token);
-            sched.timer(now + self.core.fault_params.request_timeout, id);
-        }
+        let deferred = &self.deferred;
+        let staging = Staging::Extent { offset, bytes };
+        self.core
+            .issue(now, req, staging, sched, &|f| deferred_writes(deferred, f));
     }
 
-    /// Run a data operation once a serialized acquisition completes at `at`.
-    fn defer(&mut self, at: SimTime, d: Deferred, sched: &mut Sched) {
+    /// Run a data op once a serialized acquisition completes at `at`.
+    fn defer(&mut self, at: SimTime, op: Op, sched: &mut Sched) {
         let id = self.core.timers.alloc();
-        self.deferred.insert(id, d);
+        self.deferred.insert(id, op);
         sched.timer(at, id);
     }
 
-    /// Push one segment through the pump; when both the primary and its
-    /// buddy refuse it, fail the owning request as unavailable.
-    fn submit_or_fail(
-        &mut self,
-        now: SimTime,
-        io: u32,
-        req: SegmentReq,
-        attempt: u32,
-        sched: &mut Sched,
-    ) {
-        if let Some(token) =
-            self.core
-                .pump
-                .submit_seg(now, io, req, attempt, &mut self.core.timers, sched)
-        {
-            self.core.stats.unavailable += 1;
-            self.fail_token(token, IoFault::Unavailable, now, sched);
-        }
-    }
-
-    /// Release the `Sync` waiters on `file` if its last in-flight write
-    /// just finished.
-    fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
-        let (pending, deferred) = (&self.pending, &self.deferred);
-        self.core.drain_sync_waiters(file, now, sched, || {
-            writes_in_flight(pending, deferred, file)
-        });
-    }
-
-    /// Fail a pending request (and its collective participants) with a typed
-    /// fault instead of data.
-    fn fail_token(&mut self, token: IoToken, fault: IoFault, now: SimTime, sched: &mut Sched) {
-        let Some(p) = self.pending.remove(&token) else {
-            return;
-        };
-        for id in &p.seg_ids {
-            self.core.pump.forget(*id);
-        }
-        let op = data_op_kind(p.write, p.is_async);
-        let result = IoResult {
-            bytes: 0,
-            queued: SimDuration::ZERO,
-            service: now.since(p.issued),
-            fault: Some(fault),
-        };
-        let lead = (token, p.node, p.issued);
-        for (tok, node, issued) in std::iter::once(lead).chain(p.collective) {
-            if !p.is_async {
-                self.core.recorder.record(
-                    IoEvent::new(node, p.file, op)
-                        .span(issued.nanos(), now.nanos())
-                        .extent(p.offset, 0),
-                );
-            }
-            sched.complete_io(tok, now, result);
-        }
-        self.drain_syncs(p.file, now, sched);
-    }
-
-    /// Complete a data request: charge the client copy cost, trace, complete
-    /// every participating token.
-    fn finish(&mut self, p: Pending, token: IoToken, now: SimTime, sched: &mut Sched) {
+    /// Complete a request: one client copy on the lead node, broadcast to
+    /// an `M_GLOBAL` group, and every member completes at once.
+    fn finish(&mut self, req: Request, now: SimTime, sched: &mut Sched) {
         let core = &mut self.core;
+        let Member { node, bytes, .. } = req.members[0];
         let rate = core.cfg.io_sw.client_byte_rate;
-        let mut done = core.client.copy_done(p.node, now, p.bytes, rate);
-        if !p.collective.is_empty() {
+        let mut done = core.client.copy_done(node, now, bytes, rate);
+        let n = req.members.len() as u32;
+        if n > 1 {
             // M_GLOBAL: one physical I/O, then an internal broadcast to the
             // participant group.
-            let n = (p.collective.len() + 1) as u32;
-            done +=
-                core.cfg
-                    .mesh
-                    .broadcast_time_via(&core.cfg.comm, core.links.worst(), n, p.bytes);
+            let (mesh, comm) = (&core.cfg.mesh, &core.cfg.comm);
+            done += mesh.broadcast_time_via(comm, core.links.worst(), n, bytes);
         }
-        let op = data_op_kind(p.write, p.is_async);
-        let result = IoResult {
-            bytes: p.bytes,
-            queued: SimDuration::ZERO,
-            service: done.since(p.issued),
-            fault: p.fault,
-        };
-        // Async issue events are traced at submit; sync ops trace here with
-        // their full blocking interval.
-        let lead = (token, p.node, p.issued);
-        for (tok, node, issued) in std::iter::once(lead).chain(p.collective) {
-            if !p.is_async {
-                core.recorder.record(
-                    IoEvent::new(node, p.file, op)
-                        .span(issued.nanos(), done.nanos())
-                        .extent(p.offset, p.bytes),
-                );
-            }
-            sched.complete_io(tok, done, result);
+        for m in req.members.iter() {
+            core.recorder
+                .complete_data(sched, req.file, req.write, m, done, m.bytes, req.fault);
         }
-        self.drain_syncs(p.file, now, sched);
+        let deferred = &self.deferred;
+        self.core
+            .drain_syncs(req.file, now, sched, &|f| deferred_writes(deferred, f));
     }
 
     /// Resolve and dispatch a data operation according to the file's mode.
@@ -363,195 +189,61 @@ impl Pfs {
         sched: &mut Sched,
     ) {
         let file = req.file;
-        let files = &mut self.core.files;
-        let mode = files.get(file).mode.unwrap_or_else(|| {
-            panic!(
-                "data op on closed file {} by node {node}",
-                files.get(file).spec.name
-            )
-        });
-        // Trace the async issue itself (the paper's "AsynchRead" row), with
-        // the offset the request will resolve to under the file's mode.
-        if is_async {
-            let resolved = match mode {
-                AccessMode::MUnix | AccessMode::MAsync => req
-                    .offset
-                    .unwrap_or_else(|| files.get(file).pos.get(&node).copied().unwrap_or(0)),
-                AccessMode::MLog | AccessMode::MSync | AccessMode::MGlobal => {
-                    files.get(file).shared_pos
-                }
-                AccessMode::MRecord => {
-                    let st = files.state(file);
-                    let rs = st.record_size.unwrap_or(req.bytes);
-                    let n = st.participants().len() as u64;
-                    let rank = st.rank_of(node);
-                    let k = st.op_count.get(&node).copied().unwrap_or(0);
-                    (k * n + rank) * rs
-                }
-            };
-            let issue_end = now + self.core.cfg.io_sw.async_issue;
-            self.core.recorder.record(
-                IoEvent::new(node, file, IoOp::AsyncRead)
-                    .span(now.nanos(), issue_end.nanos())
-                    .extent(resolved, req.bytes),
-            );
-        }
-        let deferred = |offset: u64| Deferred {
+        let (mode, at) = self.core.resolve_offset(now, node, &req, is_async);
+        let m = Member {
             token,
             node,
-            file,
-            write,
-            is_async,
-            offset,
-            bytes: req.bytes,
             issued: now,
+            is_async,
+            offset: at.unwrap_or(0),
+            bytes: req.bytes,
         };
         match mode {
-            AccessMode::MUnix | AccessMode::MAsync => {
-                let st = self.core.files.state(file);
-                let shared = st.opener_count() > 1;
-                let pos = st.pos.entry(node).or_insert(0);
-                let offset = req.offset.unwrap_or(*pos);
-                *pos = offset + req.bytes;
-                // M_UNIX preserves operation atomicity: concurrent writers
-                // to a shared file serialize at the file's metadata owner.
-                // M_ASYNC explicitly waives atomicity and skips this.
-                if write && shared && mode == AccessMode::MUnix {
-                    let rpc = self.core.cfg.io_sw.atomic_write_rpc;
-                    let acquire = self.core.owner_rpc(file, now, rpc);
-                    self.defer(acquire, deferred(offset), sched);
-                } else {
-                    self.dispatch(
-                        now,
-                        token,
-                        node,
-                        file,
-                        write,
-                        offset,
-                        req.bytes,
-                        now,
-                        is_async,
-                        Vec::new(),
-                        sched,
-                    );
-                }
+            // M_UNIX preserves operation atomicity: concurrent writers to a
+            // shared file serialize at the file's metadata owner. M_ASYNC
+            // explicitly waives atomicity and skips this.
+            AccessMode::MUnix if write && self.core.files.get(file).opener_count() > 1 => {
+                let rpc = self.core.cfg.io_sw.atomic_write_rpc;
+                let acquire = self.core.owner_rpc(file, now, rpc);
+                self.defer(acquire, Op { file, write, m }, sched);
             }
-            AccessMode::MRecord => {
-                let st = self.core.files.state(file);
-                let rs = *st.record_size.get_or_insert(req.bytes);
-                assert_eq!(
-                    req.bytes, rs,
-                    "M_RECORD requires fixed-size records ({rs} B) on {}",
-                    st.spec.name
-                );
-                let n = st.participants().len() as u64;
-                let rank = st.rank_of(node);
-                let k = st.op_count.entry(node).or_insert(0);
-                let record_index = *k * n + rank;
-                *k += 1;
-                let offset = record_index * rs;
-                self.dispatch(
-                    now,
-                    token,
-                    node,
-                    file,
-                    write,
-                    offset,
-                    req.bytes,
-                    now,
-                    is_async,
-                    Vec::new(),
-                    sched,
-                );
+            AccessMode::MUnix | AccessMode::MAsync | AccessMode::MRecord => {
+                self.dispatch(now, file, write, Members::One(m), sched);
             }
             AccessMode::MLog => {
-                // Acquire the shared pointer token (serialized), then run.
+                // The shared pointer moved at issue; the op runs once it
+                // holds the pointer token (serialized).
                 let token_cost = self.core.cfg.io_sw.pointer_token;
                 let st = self.core.files.state(file);
                 let acquire = st.token_free.max(now) + token_cost;
                 st.token_free = acquire;
-                let offset = st.shared_pos;
-                st.shared_pos += req.bytes;
                 if acquire > now {
-                    self.defer(acquire, deferred(offset), sched);
+                    self.defer(acquire, Op { file, write, m }, sched);
                 } else {
-                    self.dispatch(
-                        now,
-                        token,
-                        node,
-                        file,
-                        write,
-                        offset,
-                        req.bytes,
-                        now,
-                        is_async,
-                        Vec::new(),
-                        sched,
-                    );
+                    self.dispatch(now, file, write, Members::One(m), sched);
                 }
             }
             AccessMode::MSync => {
                 let parked = self.sync_parked.entry(file).or_default();
-                let prev = parked.insert(
-                    node,
-                    ParkedSync {
-                        token,
-                        write,
-                        bytes: req.bytes,
-                        issued: now,
-                        is_async,
-                    },
-                );
+                let prev = parked.insert(node, Op { file, write, m });
                 assert!(prev.is_none(), "node {node} issued overlapping M_SYNC ops");
                 self.drain_sync(now, file, sched);
             }
             AccessMode::MGlobal => {
                 let n = self.core.files.state(file).participants().len();
                 let waiting = self.global_waiting.entry(file).or_default();
-                waiting.push((token, node, now, is_async, req.bytes));
+                waiting.push(m);
                 if waiting.len() == n {
-                    // `waiting` came from this entry two statements ago; if
-                    // the map has lost it, the collective state is corrupt —
-                    // fail the op as unavailable rather than panic the run.
-                    let Some(slot) = self.global_waiting.get_mut(&file) else {
-                        debug_assert!(false, "M_GLOBAL wait group vanished for file {file}");
-                        self.core.stats.unavailable += 1;
-                        sched.complete_io(
-                            token,
-                            now,
-                            IoResult {
-                                bytes: 0,
-                                queued: SimDuration::ZERO,
-                                service: SimDuration::ZERO,
-                                fault: Some(IoFault::Unavailable),
-                            },
-                        );
-                        return;
-                    };
-                    let group = std::mem::take(slot);
-                    let bytes = group[0].4;
-                    debug_assert!(group.iter().all(|g| g.4 == bytes));
+                    let mut group = std::mem::take(waiting);
+                    let bytes = group[0].bytes;
+                    debug_assert!(group.iter().all(|g| g.bytes == bytes));
                     let st = self.core.files.state(file);
                     let offset = st.shared_pos;
                     st.shared_pos += bytes;
-                    let (lead_tok, lead_node, lead_issued, lead_async, _) = group[0];
-                    let collective: Vec<(IoToken, NodeId, SimTime)> = group[1..]
-                        .iter()
-                        .map(|&(t, nd, iss, _, _)| (t, nd, iss))
-                        .collect();
-                    self.dispatch(
-                        now,
-                        lead_tok,
-                        lead_node,
-                        file,
-                        write,
-                        offset,
-                        bytes,
-                        lead_issued,
-                        lead_async,
-                        collective,
-                        sched,
-                    );
+                    for g in &mut group {
+                        g.offset = offset;
+                    }
+                    self.dispatch(now, file, write, Members::Many(group), sched);
                 }
             }
         }
@@ -560,40 +252,19 @@ impl Pfs {
     /// Run every parked M_SYNC request whose turn has come.
     fn drain_sync(&mut self, now: SimTime, file: u32, sched: &mut Sched) {
         loop {
-            let next = {
-                let st = self.core.files.state(file);
-                let parts = st.participants().to_vec();
-                let expected = parts[(st.turn % parts.len() as u64) as usize];
-                let parked = self.sync_parked.entry(file).or_default();
-                match parked.remove(&expected) {
-                    Some(p) => {
-                        let st = self.core.files.state(file);
-                        st.turn += 1;
-                        let offset = st.shared_pos;
-                        st.shared_pos += p.bytes;
-                        Some((expected, p, offset))
-                    }
-                    None => None,
-                }
+            let st = self.core.files.state(file);
+            let turn = st.turn;
+            let parts = st.participants();
+            let expected = parts[(turn % parts.len() as u64) as usize];
+            let parked = self.sync_parked.entry(file).or_default();
+            let Some(Op { write, mut m, .. }) = parked.remove(&expected) else {
+                break;
             };
-            match next {
-                Some((node, p, offset)) => {
-                    self.dispatch(
-                        now,
-                        p.token,
-                        node,
-                        file,
-                        p.write,
-                        offset,
-                        p.bytes,
-                        p.issued,
-                        p.is_async,
-                        Vec::new(),
-                        sched,
-                    );
-                }
-                None => break,
-            }
+            let st = self.core.files.state(file);
+            st.turn += 1;
+            m.offset = st.shared_pos;
+            st.shared_pos += m.bytes;
+            self.dispatch(now, file, write, Members::One(m), sched);
         }
     }
 }
@@ -626,8 +297,8 @@ impl IoService for Pfs {
                 // Commit: acknowledge once every in-flight write on the file
                 // has reached the arrays (write-through: that is the durable
                 // point).
-                let busy = writes_in_flight(&self.pending, &self.deferred, file);
-                self.core.sync(now, token, node, file, busy, sched);
+                let held = deferred_writes(&self.deferred, file);
+                self.core.sync(now, token, node, file, held, sched);
             }
             IoVerb::Read => self.data_op(now, token, node, req, false, is_async, sched),
             IoVerb::Write => self.data_op(now, token, node, req, true, is_async, sched),
@@ -635,83 +306,23 @@ impl IoService for Pfs {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        self.core.faults.arm_all(&mut self.core.timers, sched);
+        self.core.on_start(sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.core.timers.is_node_timer(timer) {
-            // An I/O node finished its in-service work. Stale timers happen
-            // only under faults (a stall postponed the completion, or a
-            // crash voided it); orphaned segments mean the owning request
-            // already failed (timeout/unavailable).
-            let faults = self.core.faults.enabled();
-            match self.core.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => debug_assert!(faults, "stale i/o-node timer on a healthy run"),
-                // Background rebuild traffic: no request to complete.
-                NodeTick::Rebuild => {}
-                NodeTick::Orphan => debug_assert!(faults, "segment with no owner"),
-                NodeTick::Seg {
-                    owner: token,
-                    data_lost,
-                } => {
-                    let Some(p) = self.pending.get_mut(&token) else {
-                        debug_assert!(faults, "pending missing");
-                        return;
-                    };
-                    if data_lost {
-                        self.core.stats.data_loss_segments += 1;
-                        p.fault = Some(IoFault::DataLoss);
-                    }
-                    p.segs_left -= 1;
-                    if p.segs_left == 0 {
-                        // `get_mut` above proved the entry exists; a failed
-                        // remove means the pending map is corrupt. Degrade
-                        // to a typed fault on the token instead of panicking
-                        // the worker.
-                        let Some(p) = self.pending.remove(&token) else {
-                            debug_assert!(false, "pending entry vanished for token {token}");
-                            self.fail_token(token, IoFault::Unavailable, now, sched);
-                            return;
-                        };
-                        self.finish(p, token, now, sched);
-                    }
-                }
+        let deferred = &self.deferred;
+        match self
+            .core
+            .on_timer(now, timer, sched, &|f| deferred_writes(deferred, f))
+        {
+            Fired::Finished(req) => self.finish(req, now, sched),
+            Fired::Foreign => {
+                // Deferred dispatch (M_LOG pointer token, M_UNIX atomic
+                // write).
+                let op = self.deferred.remove(&timer).expect("unknown deferred op");
+                self.dispatch(now, op.file, op.write, Members::One(op.m), sched);
             }
-        } else if let Some(ev) = self.core.faults.take(timer) {
-            // Only a node crash hands back segments: they take the buddy
-            // failover chain, and a request no server accepts fails typed.
-            for req in self.core.apply_fault(now, ev, sched) {
-                if let Some(token) = self.core.reject_lost(now, ev.io_node, req, sched) {
-                    self.core.stats.unavailable += 1;
-                    self.fail_token(token, IoFault::Unavailable, now, sched);
-                }
-            }
-        } else if let Some(r) = self.core.pump.take_retry(timer) {
-            // Retry only while the owning request is still alive.
-            if self.core.pump.owns(r.req.id) {
-                self.submit_or_fail(now, r.io, r.req, r.attempt, sched);
-            }
-        } else if let Some(token) = self.timeout_timers.remove(&timer) {
-            if self.pending.contains_key(&token) {
-                self.core.stats.timeouts += 1;
-                self.fail_token(token, IoFault::Timeout, now, sched);
-            }
-        } else if !self.core.retry_meta(now, timer, sched) {
-            // Deferred dispatch (M_LOG pointer token, M_UNIX atomic write).
-            let d = self.deferred.remove(&timer).expect("unknown deferred op");
-            self.dispatch(
-                now,
-                d.token,
-                d.node,
-                d.file,
-                d.write,
-                d.offset,
-                d.bytes,
-                d.issued,
-                d.is_async,
-                Vec::new(),
-                sched,
-            );
+            Fired::Handled | Fired::Segment { .. } | Fired::Lost(_) => {}
         }
     }
 
@@ -730,6 +341,7 @@ mod tests {
     use paragon_sim::mesh::Mesh;
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
     use paragon_sim::Engine;
+    use sio_core::event::IoOp;
     use sio_core::trace::Trace;
     use sio_fskit::file::FileSpec;
 

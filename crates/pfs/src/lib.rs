@@ -14,9 +14,11 @@
 //! * [`file`](mod@file) (re-exported from `sio-fskit`) — file registration
 //!   and runtime state (length, openers, pointers, record bookkeeping);
 //! * [`fs`] — [`fs::Pfs`], the [`paragon_sim::IoService`] implementation:
-//!   per-mode data dispatch through the shared segment pump with buddy-node
-//!   failover, over the embedded `sio_fskit::FsCore`, which serves the
-//!   metadata verbs, shared-file seeks, `Sync` commits and fault delivery.
+//!   per-mode coordination (pointer tokens, `M_SYNC` turns, `M_GLOBAL`
+//!   coalescing) and request completion, over the embedded
+//!   `sio_fskit::FsCore`, which resolves offsets, runs each data request's
+//!   buddy-failover lifecycle, and serves the metadata verbs, shared-file
+//!   seeks, `Sync` commits, timers and fault delivery.
 //!
 //! Every application-visible operation is recorded through a
 //! [`sio_core::Tracer`], producing the traces the analysis crate turns into

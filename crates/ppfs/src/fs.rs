@@ -31,14 +31,13 @@ use crate::prefetch::StreamPrefetcher;
 use crate::write_behind::{DirtyBuffer, Extent};
 use paragon_sim::engine::{IoService, Sched};
 use paragon_sim::fault::FaultSchedule;
-use paragon_sim::program::{IoRequest, IoResult, IoToken, IoVerb};
+use paragon_sim::program::{IoFault, IoRequest, IoToken, IoVerb};
 use paragon_sim::{MachineConfig, NodeId, SimDuration, SimTime};
-use sio_core::event::{IoEvent, IoOp};
 use sio_core::hash::{FastMap, FastSet};
 use sio_core::trace::TraceSink;
 use sio_fskit::mode::AccessMode;
-use sio_fskit::pump::{FailoverPolicy, NodeTick};
-use sio_fskit::FsCore;
+use sio_fskit::pump::FailoverPolicy;
+use sio_fskit::{Fired, FsCore, Member, SHORT_PATH};
 
 /// Running statistics of a PPFS instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,41 +83,30 @@ enum Transfer {
         node: NodeId,
         file: u32,
         blocks: Vec<u64>,
-        segs_left: u32,
     },
-    /// Application write-through (write-behind disabled).
-    AppWrite {
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        offset: u64,
-        bytes: u64,
-        issued: SimTime,
-        segs_left: u32,
-    },
+    /// A write that completes one op: an application write-through
+    /// (write-behind disabled), or a burst-log drain extent owned by the
+    /// log tier (synthetic asynchronous token: no trace event).
+    Write { file: u32, m: Member },
     /// Background write-back of dirty extents.
-    Flush { file: u32, segs_left: u32 },
-    /// Burst-log drain extent: a background write owned by the log tier
-    /// (synthetic token, no application-visible trace event).
-    Drain {
-        token: IoToken,
-        node: NodeId,
-        file: u32,
-        bytes: u64,
-        issued: SimTime,
-        segs_left: u32,
-    },
+    Flush { file: u32 },
 }
 
+impl Transfer {
+    fn file(&self) -> u32 {
+        match self {
+            Transfer::Fetch { file, .. }
+            | Transfer::Write { file, .. }
+            | Transfer::Flush { file } => *file,
+        }
+    }
+}
+
+/// An application read waiting for its blocks.
 #[derive(Debug)]
 struct ReadPending {
-    token: IoToken,
-    node: NodeId,
     file: u32,
-    offset: u64,
-    bytes: u64,
-    issued: SimTime,
-    is_async: bool,
+    m: Member,
     blocks_left: u32,
 }
 
@@ -134,7 +122,8 @@ pub struct Ppfs {
     caches: FastMap<NodeId, BlockCache>,
     prefetchers: FastMap<(NodeId, u32), StreamPrefetcher>,
     dirty: FastMap<(NodeId, u32), DirtyBuffer>,
-    transfers: FastMap<u64, Transfer>,
+    /// In-flight transfers: id → (segments left, transfer).
+    transfers: FastMap<u64, (u32, Transfer)>,
     next_transfer: u64,
     reads: FastMap<u64, ReadPending>,
     next_read: u64,
@@ -254,34 +243,22 @@ impl Ppfs {
         sched: &mut Sched,
     ) {
         self.core.files.state(file).extend_to(offset + bytes);
-        let tid = self.next_transfer;
-        self.next_transfer += 1;
-        let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-        if segs == 0 {
-            // Degenerate extent: nothing staged, complete immediately.
-            sched.complete_io(
-                token,
-                now,
-                IoResult {
-                    bytes,
-                    queued: SimDuration::ZERO,
-                    service: SimDuration::ZERO,
-                    fault: None,
-                },
-            );
+        let m = Member {
+            token,
+            node,
+            issued: now,
+            is_async: true,
+            offset,
+            bytes,
+        };
+        if bytes == 0 {
+            // Degenerate extent: nothing to stage, complete immediately.
+            self.core
+                .recorder
+                .complete_data(sched, file, true, &m, now, 0, None);
             return;
         }
-        self.transfers.insert(
-            tid,
-            Transfer::Drain {
-                token,
-                node,
-                file,
-                bytes,
-                issued: now,
-                segs_left: segs,
-            },
-        );
+        self.start_transfer(now, Transfer::Write { file, m }, offset, bytes, true, sched);
     }
 
     /// The pattern the adaptive prefetcher has inferred for a stream, if the
@@ -306,31 +283,44 @@ impl Ppfs {
             .or_insert_with(|| BlockCache::new(policy.cache_blocks, policy.eviction, seed))
     }
 
-    /// Submit the stripe segments of `[offset, offset+bytes)` of `file` to
-    /// the I/O nodes, owned by transfer `tid`. Returns the segment count.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_extent(
+    /// Start transfer `t` over `[offset, offset + bytes)` of its file:
+    /// stage the extent through the stripe-pinned pump and submit every
+    /// segment (retried or parked for replay, never given up). An extent
+    /// with nothing to stage completes at once — with a typed fault when it
+    /// lies beyond the arrays, which writes are checked against at issue.
+    fn start_transfer(
         &mut self,
         now: SimTime,
-        tid: u64,
-        file: u32,
+        t: Transfer,
         offset: u64,
         bytes: u64,
         write: bool,
         sched: &mut Sched,
-    ) -> u32 {
+    ) {
+        let tid = self.next_transfer;
+        self.next_transfer += 1;
         let core = &mut self.core;
-        core.pump.submit_extent(
-            now,
-            &core.cfg.layout,
-            core.files.slot_base(file),
-            offset,
-            bytes,
-            write,
-            tid,
-            &mut core.timers,
-            sched,
-        )
+        let slot_base = core.files.slot_base(t.file());
+        let capacity = core.cfg.array_capacity;
+        let layout = &core.cfg.layout;
+        let (segs, fault) = match core
+            .pump
+            .stage_extent(layout, slot_base, capacity, offset, bytes, write, tid)
+        {
+            Ok(segs) => (segs, None),
+            Err(fault) => (Vec::new(), Some(fault)),
+        };
+        for &(io, seg) in &segs {
+            let gave_up = core
+                .pump
+                .submit_seg(now, io, seg, 0, &mut core.timers, sched);
+            debug_assert!(gave_up.is_none(), "stripe-pinned submission cannot give up");
+        }
+        if segs.is_empty() {
+            self.finish_transfer(now, t, fault, sched);
+        } else {
+            self.transfers.insert(tid, (segs.len() as u32, t));
+        }
     }
 
     /// I/O node owning a file block (block start decides for blocks that
@@ -399,18 +389,12 @@ impl Ppfs {
             }
             let offset = run[0] * bs;
             let bytes = run.len() as u64 * bs;
-            let tid = this.next_transfer;
-            this.next_transfer += 1;
-            let segs = this.submit_extent(now, tid, file, offset, bytes, false, sched);
-            this.transfers.insert(
-                tid,
-                Transfer::Fetch {
-                    node,
-                    file,
-                    blocks: run,
-                    segs_left: segs,
-                },
-            );
+            let t = Transfer::Fetch {
+                node,
+                file,
+                blocks: run,
+            };
+            this.start_transfer(now, t, offset, bytes, false, sched);
         };
         for b in disk_blocks {
             if run.last().is_some_and(|&p| p + 1 != b) {
@@ -454,27 +438,10 @@ impl Ppfs {
                 if ready {
                     let r = self.reads.remove(&rid).unwrap();
                     let rate = self.core.cfg.io_sw.client_byte_rate;
-                    let done = self
-                        .core
-                        .client
-                        .copy_done(r.node, now + hit_cost, r.bytes, rate);
-                    if !r.is_async {
-                        self.core.recorder.record(
-                            IoEvent::new(r.node, r.file, IoOp::Read)
-                                .span(r.issued.nanos(), done.nanos())
-                                .extent(r.offset, r.bytes),
-                        );
-                    }
-                    sched.complete_io(
-                        r.token,
-                        done,
-                        IoResult {
-                            bytes: r.bytes,
-                            queued: SimDuration::ZERO,
-                            service: done.since(r.issued),
-                            fault: None,
-                        },
-                    );
+                    let (m, core) = (r.m, &mut self.core);
+                    let done = core.client.copy_done(m.node, now + hit_cost, m.bytes, rate);
+                    core.recorder
+                        .complete_data(sched, r.file, false, &m, done, m.bytes, None);
                 }
             }
         }
@@ -494,16 +461,7 @@ impl Ppfs {
             buf.drain(aggregation, self.policy.block_size)
         };
         for Extent { offset, bytes } in extents {
-            let tid = self.next_transfer;
-            self.next_transfer += 1;
-            let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-            self.transfers.insert(
-                tid,
-                Transfer::Flush {
-                    file,
-                    segs_left: segs,
-                },
-            );
+            self.start_transfer(now, Transfer::Flush { file }, offset, bytes, true, sched);
             self.stats.flush_extents += 1;
             self.stats.flushed_bytes += bytes;
         }
@@ -550,25 +508,19 @@ impl Ppfs {
         let eff = bytes.min(self.core.files.len_of(file).saturating_sub(offset));
         let hit_cost = SimDuration::from_secs_f64(self.policy.hit_cost_secs);
         let rate = self.core.cfg.io_sw.client_byte_rate;
+        let m = Member {
+            token,
+            node,
+            issued: now,
+            is_async,
+            offset,
+            bytes: eff,
+        };
         if eff == 0 {
             let done = now + hit_cost;
-            if !is_async {
-                self.core.recorder.record(
-                    IoEvent::new(node, file, IoOp::Read)
-                        .span(now.nanos(), done.nanos())
-                        .extent(offset, 0),
-                );
-            }
-            sched.complete_io(
-                token,
-                done,
-                IoResult {
-                    bytes: 0,
-                    queued: SimDuration::ZERO,
-                    service: hit_cost,
-                    fault: None,
-                },
-            );
+            self.core
+                .recorder
+                .complete_data(sched, file, false, &m, done, 0, None);
             return;
         }
         let bs = self.policy.block_size;
@@ -583,31 +535,25 @@ impl Ppfs {
                 None => missing.push(b),
             }
         }
-        let read_id = self.next_read;
-        self.next_read += 1;
         let blocks_left = (missing.len() + waiting.len()) as u32;
         if blocks_left == 0 {
             self.stats.reads_hit += 1;
             let done = self.core.client.copy_done(node, now + hit_cost, eff, rate);
-            if !is_async {
-                self.core.recorder.record(
-                    IoEvent::new(node, file, IoOp::Read)
-                        .span(now.nanos(), done.nanos())
-                        .extent(offset, eff),
-                );
-            }
-            sched.complete_io(
-                token,
-                done,
-                IoResult {
-                    bytes: eff,
-                    queued: SimDuration::ZERO,
-                    service: done.since(now),
-                    fault: None,
-                },
-            );
+            self.core
+                .recorder
+                .complete_data(sched, file, false, &m, done, eff, None);
         } else {
             self.stats.reads_missed += 1;
+            let read_id = self.next_read;
+            self.next_read += 1;
+            // Pending before any fetch starts: a fetch with nothing to
+            // stage completes its blocks at once.
+            let r = ReadPending {
+                file,
+                m,
+                blocks_left,
+            };
+            self.reads.insert(read_id, r);
             for &b in waiting.iter().chain(missing.iter()) {
                 self.block_waiters
                     .entry((node, file, b))
@@ -626,19 +572,6 @@ impl Ppfs {
             if !run.is_empty() {
                 self.fetch_blocks(now, node, file, run, false, sched);
             }
-            self.reads.insert(
-                read_id,
-                ReadPending {
-                    token,
-                    node,
-                    file,
-                    offset,
-                    bytes: eff,
-                    issued: now,
-                    is_async,
-                    blocks_left,
-                },
-            );
         }
         // Prefetch suggestions, bounded by the file length. The prefetch
         // policy may be overridden per file by advice.
@@ -685,27 +618,33 @@ impl Ppfs {
         bytes: u64,
         sched: &mut Sched,
     ) {
+        let m = Member {
+            token,
+            node,
+            issued: now,
+            is_async: false,
+            offset,
+            bytes,
+        };
+        if !self.core.fits(file, offset, bytes) {
+            // Beyond the arrays: a typed failure at issue, as on PFS and
+            // CIO, never buffered or staged.
+            self.core.stats.unavailable += 1;
+            let fault = Some(IoFault::Unavailable);
+            self.core
+                .recorder
+                .complete_data(sched, file, true, &m, now, 0, fault);
+            return;
+        }
         self.core.files.state(file).extend_to(offset + bytes);
         let rate = self.core.cfg.io_sw.client_byte_rate;
         if self.policy_for(file).write_behind {
             // Complete into the dirty buffer at copy cost.
             let ready = now + SimDuration::from_secs_f64(self.policy.hit_cost_secs);
             let done = self.core.client.copy_done(node, ready, bytes, rate);
-            self.core.recorder.record(
-                IoEvent::new(node, file, IoOp::Write)
-                    .span(now.nanos(), done.nanos())
-                    .extent(offset, bytes),
-            );
-            sched.complete_io(
-                token,
-                done,
-                IoResult {
-                    bytes,
-                    queued: SimDuration::ZERO,
-                    service: done.since(now),
-                    fault: None,
-                },
-            );
+            self.core
+                .recorder
+                .complete_data(sched, file, true, &m, done, bytes, None);
             self.dirty
                 .entry((node, file))
                 .or_default()
@@ -715,22 +654,14 @@ impl Ppfs {
                 self.flush_dirty(now, node, file, sched);
             }
             self.arm_flush_timer(now, sched);
+        } else if bytes == 0 {
+            // Nothing to move: a short software path only.
+            let done = now + SHORT_PATH;
+            self.core
+                .recorder
+                .complete_data(sched, file, true, &m, done, 0, None);
         } else {
-            let tid = self.next_transfer;
-            self.next_transfer += 1;
-            let segs = self.submit_extent(now, tid, file, offset, bytes, true, sched);
-            self.transfers.insert(
-                tid,
-                Transfer::AppWrite {
-                    token,
-                    node,
-                    file,
-                    offset,
-                    bytes,
-                    issued: now,
-                    segs_left: segs,
-                },
-            );
+            self.start_transfer(now, Transfer::Write { file, m }, offset, bytes, true, sched);
         }
         // Writes invalidate any cached copy of the blocks they touch.
         let bs = self.policy.block_size;
@@ -748,80 +679,39 @@ impl Ppfs {
         }
     }
 
+    /// One segment of transfer `tid` landed.
     fn transfer_done(&mut self, now: SimTime, tid: u64, sched: &mut Sched) {
-        let finished = {
-            let t = self.transfers.get_mut(&tid).expect("unknown transfer");
-            let left = match t {
-                Transfer::Fetch { segs_left, .. }
-                | Transfer::AppWrite { segs_left, .. }
-                | Transfer::Flush { segs_left, .. }
-                | Transfer::Drain { segs_left, .. } => segs_left,
-            };
-            *left -= 1;
-            *left == 0
-        };
-        if !finished {
-            return;
+        let (left, _) = self.transfers.get_mut(&tid).expect("unknown transfer");
+        *left -= 1;
+        if *left == 0 {
+            let (_, t) = self.transfers.remove(&tid).unwrap();
+            self.finish_transfer(now, t, None, sched);
         }
-        match self.transfers.remove(&tid).unwrap() {
-            Transfer::Fetch {
-                node, file, blocks, ..
-            } => {
+    }
+
+    /// A transfer's last segment landed (or it had nothing to stage, with
+    /// `fault` when it lay beyond the arrays).
+    fn finish_transfer(
+        &mut self,
+        now: SimTime,
+        t: Transfer,
+        fault: Option<IoFault>,
+        sched: &mut Sched,
+    ) {
+        match t {
+            Transfer::Fetch { node, file, blocks } => {
                 self.complete_blocks(now, node, file, blocks, true, sched);
             }
-            Transfer::AppWrite {
-                token,
-                node,
-                file,
-                offset,
-                bytes,
-                issued,
-                ..
-            } => {
+            Transfer::Write { file, m } => {
+                let bytes = if fault.is_some() { 0 } else { m.bytes };
                 let rate = self.core.cfg.io_sw.client_byte_rate;
-                let done = self.core.client.copy_done(node, now, bytes, rate);
-                self.core.recorder.record(
-                    IoEvent::new(node, file, IoOp::Write)
-                        .span(issued.nanos(), done.nanos())
-                        .extent(offset, bytes),
-                );
-                sched.complete_io(
-                    token,
-                    done,
-                    IoResult {
-                        bytes,
-                        queued: SimDuration::ZERO,
-                        service: done.since(issued),
-                        fault: None,
-                    },
-                );
+                let done = self.core.client.copy_done(m.node, now, bytes, rate);
+                self.core
+                    .recorder
+                    .complete_data(sched, file, true, &m, done, bytes, fault);
                 self.drain_syncs(file, now, sched);
             }
-            Transfer::Flush { file, .. } => {
-                self.drain_syncs(file, now, sched);
-            }
-            Transfer::Drain {
-                token,
-                node,
-                file,
-                bytes,
-                issued,
-                ..
-            } => {
-                let rate = self.core.cfg.io_sw.client_byte_rate;
-                let done = self.core.client.copy_done(node, now, bytes, rate);
-                sched.complete_io(
-                    token,
-                    done,
-                    IoResult {
-                        bytes,
-                        queued: SimDuration::ZERO,
-                        service: done.since(issued),
-                        fault: None,
-                    },
-                );
-                self.drain_syncs(file, now, sched);
-            }
+            Transfer::Flush { file } => self.drain_syncs(file, now, sched),
         }
     }
 
@@ -830,7 +720,7 @@ impl Ppfs {
     fn drain_syncs(&mut self, file: u32, now: SimTime, sched: &mut Sched) {
         let transfers = &self.transfers;
         self.core
-            .drain_sync_waiters(file, now, sched, || writes_in_flight(transfers, file));
+            .drain_syncs(file, now, sched, &|f| writes_in_flight(transfers, f));
     }
 }
 
@@ -838,13 +728,10 @@ impl Ppfs {
 /// (including segments parked at a crashed node awaiting replay — parked
 /// dirty data is *not* durable), write-through application writes, or
 /// log-tier drains.
-fn writes_in_flight(transfers: &FastMap<u64, Transfer>, file: u32) -> bool {
-    transfers.values().any(|t| {
+fn writes_in_flight(transfers: &FastMap<u64, (u32, Transfer)>, file: u32) -> bool {
+    transfers.values().any(|(_, t)| {
         matches!(t,
-            Transfer::Flush { file: f, .. }
-            | Transfer::AppWrite { file: f, .. }
-            | Transfer::Drain { file: f, .. }
-                if *f == file)
+            Transfer::Flush { file: f } | Transfer::Write { file: f, .. } if *f == file)
     })
 }
 
@@ -902,16 +789,10 @@ impl IoService for Ppfs {
             }
             IoVerb::Lsize => self.core.lsize(now, token, node, file, sched),
             IoVerb::Read | IoVerb::Write => {
-                let pos = self.core.files.state(file).pos.entry(node).or_insert(0);
-                let offset = req.offset.unwrap_or(*pos);
-                *pos = offset + req.bytes;
+                let st = self.core.files.state(file);
+                let offset = st.advance_pointer(node, req.offset, req.bytes);
                 if is_async {
-                    let issue_end = now + self.core.cfg.io_sw.async_issue;
-                    self.core.recorder.record(
-                        IoEvent::new(node, file, IoOp::AsyncRead)
-                            .span(now.nanos(), issue_end.nanos())
-                            .extent(offset, req.bytes),
-                    );
+                    self.core.trace_issue(now, node, file, offset, req.bytes);
                 }
                 if req.verb == IoVerb::Read {
                     self.read_op(now, token, node, file, offset, req.bytes, is_async, sched);
@@ -923,77 +804,57 @@ impl IoService for Ppfs {
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        self.core.faults.arm_all(&mut self.core.timers, sched);
+        self.core.on_start(sched);
     }
 
     fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
-        if self.core.timers.is_node_timer(timer) {
-            // An I/O node finished its in-service work. Stale timers happen
-            // only under faults (a stall postponed the completion, or a
-            // crash voided it): the re-armed timer covers the real time.
-            match self.core.pump.node_tick(now, timer, sched) {
-                NodeTick::Stale => {
-                    debug_assert!(
-                        self.core.faults.enabled(),
-                        "stale i/o-node timer on a healthy run"
-                    );
+        // PPFS tracks its own transfers: the core never fails a request
+        // here, so it never asks which writes PPFS holds.
+        match self.core.on_timer(now, timer, sched, &|_| false) {
+            Fired::Segment { owner, data_lost } => {
+                if data_lost {
+                    self.stats.data_loss_segments += 1;
                 }
-                // Background rebuild traffic: no transfer to advance.
-                NodeTick::Rebuild => {}
-                NodeTick::Orphan => panic!("segment with no owner"),
-                NodeTick::Seg {
-                    owner: tid,
-                    data_lost,
-                } => {
-                    if data_lost {
-                        self.stats.data_loss_segments += 1;
-                    }
-                    self.transfer_done(now, tid, sched);
-                }
+                self.transfer_done(now, owner, sched);
             }
-        } else if timer == self.timer_flush_id() {
-            self.flush_timer_armed = false;
-            self.flush_all(now, sched);
-            // Re-arm while dirty data may still arrive (cheap: only when
-            // something was flushed or remains buffered).
-            if self.dirty.values().any(|b| !b.is_empty()) {
-                self.arm_flush_timer(now, sched);
-            }
-        } else if let Some(ev) = self.core.faults.take(timer) {
-            // Only a node crash hands back segments. Flush segments carry
-            // write-behind data whose application writes already completed
-            // — that is the dirty-data exposure the X4 suite measures.
-            // Everything is parked for replay on recovery.
-            for req in self.core.apply_fault(now, ev, sched) {
-                if let Some(tid) = self.core.pump.owner_of(req.id) {
-                    if let Some(Transfer::Flush { file, .. }) = self.transfers.get(&tid) {
-                        self.stats.dirty_bytes_lost += req.bytes;
+            Fired::Lost(lost) => {
+                // The core parked every lost segment for replay on
+                // recovery. Flush segments carry write-behind data whose
+                // application writes already completed — that is the
+                // dirty-data exposure the X4 suite measures.
+                for seg in lost {
+                    let t = self
+                        .core
+                        .pump
+                        .owner_of(seg.id)
+                        .and_then(|tid| self.transfers.get(&tid));
+                    if let Some((_, Transfer::Flush { file })) = t {
+                        self.stats.dirty_bytes_lost += seg.bytes;
                         if self.checkpoint_covered.contains(file) {
-                            self.stats.dirty_bytes_lost_checkpointed += req.bytes;
+                            self.stats.dirty_bytes_lost_checkpointed += seg.bytes;
                         }
                     }
-                    self.core.pump.park_replay(ev.io_node, req);
                 }
             }
-        } else if let Some(r) = self.core.pump.take_retry(timer) {
-            // Retry only while the owning transfer is still alive.
-            if self.core.pump.owns(r.req.id) {
-                let gave_up = self.core.pump.submit_seg(
-                    now,
-                    r.io,
-                    r.req,
-                    r.attempt,
-                    &mut self.core.timers,
-                    sched,
-                );
-                debug_assert!(gave_up.is_none(), "stripe-pinned retry cannot give up");
+            Fired::Foreign if timer == self.timer_flush_id() => {
+                self.flush_timer_armed = false;
+                self.flush_all(now, sched);
+                // Re-arm while dirty data may still arrive (cheap: only when
+                // something was flushed or remains buffered).
+                if self.dirty.values().any(|b| !b.is_empty()) {
+                    self.arm_flush_timer(now, sched);
+                }
             }
-        } else if let Some((node, file, blocks)) = self.fetch_hits.remove(&timer) {
-            // Server-cache hit delivery: no server install (they came from
-            // there).
-            self.complete_blocks(now, node, file, blocks, false, sched);
-        } else if !self.core.retry_meta(now, timer, sched) {
-            panic!("unknown timer {timer}");
+            Fired::Foreign => {
+                // Server-cache hit delivery: no server install (they came
+                // from there).
+                let (node, file, blocks) = self
+                    .fetch_hits
+                    .remove(&timer)
+                    .unwrap_or_else(|| panic!("unknown timer {timer}"));
+                self.complete_blocks(now, node, file, blocks, false, sched);
+            }
+            Fired::Handled | Fired::Finished(_) => {}
         }
     }
 
@@ -1035,6 +896,7 @@ mod tests {
     use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
     use paragon_sim::time::transfer_time;
     use paragon_sim::Engine;
+    use sio_core::event::IoOp;
     use sio_core::trace::Trace;
     use sio_fskit::file::FileSpec;
 

@@ -182,42 +182,88 @@ fn pfs_crash_without_recovery_fails_over_and_serves_all_data() {
     assert!(read_events.iter().all(|e| e.bytes == 262_144));
 }
 
+/// `nodes` readers of one shared input file, `reads` reads of `bytes` each,
+/// in `mode`: one request per read under PFS `M_UNIX`, one per round for
+/// an `M_GLOBAL` group or a CIO collective.
+fn shared_read_workload(nodes: u32, reads: u32, bytes: u64, mode: AccessMode) -> Workload {
+    let scripts = (0..nodes)
+        .map(|_| {
+            let mut ops = vec![
+                ScriptOp::Io(IoRequest::open(0, mode.code())),
+                ScriptOp::Barrier(0),
+            ];
+            ops.extend((0..reads).map(|_| ScriptOp::Io(IoRequest::read(0, bytes))));
+            ops.push(ScriptOp::Io(IoRequest::close(0)));
+            ops
+        })
+        .collect();
+    Workload {
+        label: format!("shared-read-{nodes}x{reads}-{mode}"),
+        files: vec![FileSpec::input("data", (nodes * reads) as u64 * bytes)],
+        scripts,
+        groups: Vec::new(),
+    }
+}
+
+/// The buddy-failover backends and modes whose failures fan out: per-op
+/// requests (PFS `M_UNIX`), a coalesced group (PFS `M_GLOBAL`), and
+/// collectives (CIO). Each with its requests per read round of 4 nodes.
+const FANOUT_CASES: [(&str, AccessMode, u64); 4] = [
+    ("pfs", AccessMode::MUnix, 4),
+    ("pfs", AccessMode::MGlobal, 1),
+    ("cio", AccessMode::MUnix, 1),
+    ("cio", AccessMode::MGlobal, 1),
+];
+
 /// With every node down, requests fail with a typed `Unavailable` result
-/// (zero bytes) instead of hanging or panicking.
+/// (zero bytes) instead of hanging or panicking — on every participant of
+/// a group or collective, each counted once.
 #[test]
 fn all_nodes_down_yields_typed_unavailable_results() {
     let machine = MachineConfig::tiny(4, 2);
-    let w = sequential_read_kernel(4, 65_536, AccessMode::MUnix);
     let mut s = FaultSchedule::new();
     for io in 0..machine.io_nodes {
         s.node_crash(SimTime::ZERO, io);
     }
-    let out = run_workload_with_faults(&machine, &w, &Backend::Pfs, Some(&s));
-    assert!(
-        out.report.clean(),
-        "typed failure must not deadlock the app"
-    );
-    let pf = out.pfs_faults.expect("pfs fault stats");
-    assert!(pf.unavailable > 0, "no unavailable results recorded");
-    assert!(out
-        .trace
-        .of_op(sio::core::event::IoOp::Read)
-        .all(|e| e.bytes == 0));
+    for (name, mode, _) in FANOUT_CASES {
+        let w = shared_read_workload(4, 4, 65_536, mode);
+        let backend = BackendSpec::parse(name).expect("shipped backend");
+        let out = run_workload_with_faults(&machine, &w, &backend, Some(&s));
+        assert!(
+            out.report.clean(),
+            "{name} {mode}: typed failure must not deadlock the app"
+        );
+        let reads: Vec<_> = out.trace.of_op(IoOp::Read).collect();
+        assert_eq!(reads.len(), 16, "{name} {mode}");
+        assert!(reads.iter().all(|e| e.bytes == 0), "{name} {mode}");
+        let pf = out.pfs_faults.expect("fault stats");
+        assert_eq!(pf.unavailable, 16, "{name} {mode}: one per member: {pf:?}");
+        assert_eq!(pf.timeouts, 0, "{name} {mode}: {pf:?}");
+    }
 }
 
-/// A stall longer than the request deadline trips the per-request timeout.
+/// A stall longer than the request deadline trips the per-request timeout:
+/// every participant's read completes with zero bytes, and the deadline
+/// counts once per request or collective.
 #[test]
 fn long_stall_trips_request_timeout() {
     let machine = MachineConfig::tiny(4, 2);
-    let w = sequential_read_kernel(2, 65_536, AccessMode::MUnix);
     let mut s = FaultSchedule::new();
     for io in 0..machine.io_nodes {
         s.node_stall(SimTime::ZERO, io, SimDuration::from_secs(700));
     }
-    let out = run_workload_with_faults(&machine, &w, &Backend::Pfs, Some(&s));
-    assert!(out.report.clean());
-    let pf = out.pfs_faults.expect("pfs fault stats");
-    assert!(pf.timeouts > 0, "deadline did not fire under a 700s stall");
+    for (name, mode, requests) in FANOUT_CASES {
+        let w = shared_read_workload(4, 1, 65_536, mode);
+        let backend = BackendSpec::parse(name).expect("shipped backend");
+        let out = run_workload_with_faults(&machine, &w, &backend, Some(&s));
+        assert!(out.report.clean(), "{name} {mode}");
+        let reads: Vec<_> = out.trace.of_op(IoOp::Read).collect();
+        assert_eq!(reads.len(), 4, "{name} {mode}");
+        assert!(reads.iter().all(|e| e.bytes == 0), "{name} {mode}");
+        let pf = out.pfs_faults.expect("fault stats");
+        assert_eq!(pf.timeouts, requests, "{name} {mode}: {pf:?}");
+        assert_eq!(pf.unavailable, 0, "{name} {mode}: {pf:?}");
+    }
 }
 
 /// PPFS write-behind under a crash: dirty flush segments at the crashed

@@ -11,27 +11,33 @@
 //! Timing may differ per backend, and backends may add *internal* traffic
 //! (write-behind flushes, prefetch reads, collective exchange waits); the
 //! application-visible traced shape and the byte conservation laws may not
-//! differ. The suite enumerates `BackendRegistry::builtin()` — a new
-//! backend gets every case for free the moment it is registered, with no
+//! differ. The suite enumerates `BackendSpec::BUILTIN` — a new backend
+//! gets every case for free the moment it is named there, with no
 //! per-backend carve-outs.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use sio::apps::workload::{run_workload, run_workload_with_faults, Backend, Workload};
-use sio::apps::{BackendRegistry, BackendSpec};
+use sio::apps::BackendSpec;
 use sio::core::event::IoOp;
-use sio::paragon::program::{IoRequest, ScriptOp};
-use sio::paragon::{FaultSchedule, MachineConfig, SimTime};
+use sio::core::trace::TraceSink;
+use sio::paragon::mesh::Mesh;
+use sio::paragon::program::{
+    IoFault, IoRequest, IoResult, NodeProgram, Resume, ScriptOp, ScriptProgram, Step,
+};
+use sio::paragon::{Engine, FaultSchedule, MachineConfig, NodeId, SimTime};
 use sio::pfs::{AccessMode, FileSpec};
 
 fn m() -> MachineConfig {
     MachineConfig::tiny(4, 2)
 }
 
-/// Every backend the shipped registry knows, resolved through the single
-/// naming entry point. Conformance cases iterate this — never a hard-coded
-/// subset — so registering a backend opts it into the whole suite.
+/// Every shipped backend, resolved through the single naming entry point.
+/// Conformance cases iterate this — never a hard-coded subset — so naming
+/// a backend in `BackendSpec::BUILTIN` opts it into the whole suite.
 fn conformance_backends() -> Vec<(&'static str, Backend)> {
-    BackendRegistry::builtin()
-        .names()
+    BackendSpec::BUILTIN
         .into_iter()
         .map(|name| {
             (
@@ -538,5 +544,84 @@ fn blog_sync_commits_fast_but_drains_fully_by_run_end() {
                 );
             }
         }
+    }
+}
+
+/// A zero-length write is a short software path on every backend, whatever
+/// its write policy: it completes with zero bytes, and the `Sync` behind it
+/// finds nothing in flight and commits.
+#[test]
+fn zero_length_write_completes_and_commits_on_every_backend() {
+    let ops = vec![
+        ScriptOp::Io(IoRequest::open(0, AccessMode::MUnix.code())),
+        ScriptOp::Io(IoRequest::write(0, 0)),
+        ScriptOp::Io(IoRequest::sync(0)),
+        ScriptOp::Io(IoRequest::close(0)),
+    ];
+    let w = Workload {
+        label: "conformance-zero-write".to_string(),
+        files: vec![FileSpec::output("f")],
+        scripts: vec![ops],
+        groups: Vec::new(),
+    };
+    for (name, b) in conformance_backends() {
+        let out = run_workload(&m(), &w, &b);
+        assert!(out.report.clean(), "{name}: {:?}", out.report.hang);
+        let writes: Vec<_> = out.trace.of_op(IoOp::Write).collect();
+        assert_eq!(writes.len(), 1, "{name}");
+        assert_eq!(writes[0].bytes, 0, "{name}");
+        assert_eq!(out.trace.of_op(IoOp::Flush).count(), 1, "{name}");
+    }
+}
+
+/// A script that keeps the result of every blocking I/O call it makes.
+struct Recording {
+    script: ScriptProgram,
+    results: Rc<RefCell<Vec<IoResult>>>,
+}
+
+impl NodeProgram for Recording {
+    fn step(&mut self, node: NodeId, resume: Resume) -> Step {
+        if let Resume::IoDone(r) = resume {
+            self.results.borrow_mut().push(r);
+        }
+        self.script.step(node, resume)
+    }
+}
+
+/// A write past the end of the I/O nodes' arrays is a typed failure at
+/// issue on every backend that writes to them directly: zero bytes and
+/// `Unavailable`, under write-through and write-behind alike. (The log
+/// tier acknowledges at log speed; its drain fails later, typed.)
+#[test]
+fn write_beyond_array_capacity_fails_typed() {
+    let machine = m();
+    let mut write = IoRequest::write(0, 64 * 1024);
+    write.offset = Some(1 << 38);
+    let script = vec![
+        ScriptOp::Io(IoRequest::open(0, AccessMode::MUnix.code())),
+        ScriptOp::Io(write),
+        ScriptOp::Io(IoRequest::close(0)),
+    ];
+    let direct = conformance_backends()
+        .into_iter()
+        .filter(|(name, _)| !name.starts_with("blog+"));
+    for (name, spec) in direct {
+        let mut fs = spec.build(&machine, TraceSink::new(name), FaultSchedule::new());
+        fs.register_file(FileSpec::output("f"));
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let program = Recording {
+            script: ScriptProgram::new(script.clone()),
+            results: results.clone(),
+        };
+        let mesh = Mesh::for_nodes(machine.compute_nodes, machine.io_nodes);
+        let mut engine = Engine::new(mesh, machine.comm, vec![Box::new(program)], fs);
+        engine.set_default_watchdog();
+        let report = engine.run();
+        assert!(report.clean(), "{name}: blocked {:?}", report.blocked);
+        let results = results.borrow();
+        assert_eq!(results.len(), 3, "{name}: open, write, close");
+        assert_eq!(results[1].bytes, 0, "{name}: write result");
+        assert_eq!(results[1].fault, Some(IoFault::Unavailable), "{name}");
     }
 }
