@@ -1,11 +1,12 @@
-//! Micro benchmarks of the substrate hot paths: engine event dispatch,
-//! stripe mapping, block cache, write-behind buffer, access-pattern
+//! Micro benchmarks of the substrate hot paths: engine event dispatch (a
+//! shallow barrier fan-out and a deep queue of pending deadlines), stripe
+//! mapping, block cache, write-behind buffer, access-pattern
 //! classification/prediction, and the SDDF trace codec.
 
 use criterion::{criterion_group, Criterion, Throughput};
 use paragon_sim::mesh::{CommCosts, Mesh};
 use paragon_sim::program::{NodeProgram, ScriptOp, ScriptProgram};
-use paragon_sim::{Engine, IoService, MachineConfig, SimDuration};
+use paragon_sim::{Engine, IoService, MachineConfig, Sched, SimDuration, SimTime};
 use sio_core::classify::PatternClassifier;
 use sio_core::event::{IoEvent, IoOp};
 use sio_core::predict::{MarkovPredictor, Predictor};
@@ -45,6 +46,28 @@ impl IoService for NullService {
     fn on_timer(&mut self, _: paragon_sim::SimTime, _: u64, _: &mut paragon_sim::Sched) {}
 }
 
+/// Completes each I/O after 1 µs like [`NullService`], and also arms a
+/// no-op timer 600 s out, as the fskit request deadline does under a fault
+/// schedule: every request leaves an event pending until the run's end.
+struct DeadlineService;
+
+impl IoService for DeadlineService {
+    fn submit(
+        &mut self,
+        node: u32,
+        now: SimTime,
+        req: paragon_sim::IoRequest,
+        token: u64,
+        is_async: bool,
+        sched: &mut Sched,
+    ) {
+        NullService.submit(node, now, req, token, is_async, sched);
+        sched.timer(now + SimDuration::from_secs(600), token);
+    }
+
+    fn on_timer(&mut self, _: SimTime, _: u64, _: &mut Sched) {}
+}
+
 fn engine_dispatch(c: &mut Criterion) {
     // 64 nodes × (1000 computes + barriers): ~130k events per iteration.
     let mut group = c.benchmark_group("engine");
@@ -65,6 +88,30 @@ fn engine_dispatch(c: &mut Criterion) {
             let mut engine = Engine::new(mesh, CommCosts::default(), programs, NullService);
             let report = engine.run();
             assert!(report.clean());
+            black_box(report.events)
+        })
+    });
+    // 64 nodes × 500 (compute + sync read): per read a compute resume, the
+    // completion, the I/O-done resume and the deadline, which stays pending
+    // until the end — 32k deep, as on the faulted paper suite.
+    group.throughput(Throughput::Elements(64 * 500 * 4));
+    group.bench_function("deadline_heavy", |b| {
+        b.iter(|| {
+            let programs: Vec<Box<dyn NodeProgram>> = (0..64)
+                .map(|_| {
+                    let mut ops = Vec::with_capacity(1000);
+                    for _ in 0..500 {
+                        ops.push(ScriptOp::Compute(SimDuration(10_000)));
+                        ops.push(ScriptOp::Io(paragon_sim::IoRequest::read(1, 4096)));
+                    }
+                    Box::new(ScriptProgram::new(ops)) as Box<dyn NodeProgram>
+                })
+                .collect();
+            let mesh = Mesh::for_nodes(64, 4);
+            let mut engine = Engine::new(mesh, CommCosts::default(), programs, DeadlineService);
+            let report = engine.run();
+            assert!(report.clean());
+            assert!(engine.perf().heap_peak >= 64 * 500);
             black_box(report.events)
         })
     });

@@ -244,6 +244,9 @@ pub struct Blog<I> {
     pos: FastMap<(NodeId, u32), u64>,
     timers: FastMap<u64, TimerEvent>,
     drains: FastMap<IoToken, Drain>,
+    /// The one scheduling buffer handed to the inner backend; drained in
+    /// place by `forward_with`.
+    inner_sched: Sched,
     read_waiters: Vec<Waiter>,
     sync_waiters: Vec<SyncParked>,
     /// First drain fault not yet surfaced through a `Sync`.
@@ -267,6 +270,7 @@ impl<I: DrainBackend> Blog<I> {
             pos: FastMap::default(),
             timers: FastMap::default(),
             drains: FastMap::default(),
+            inner_sched: Sched::new(),
             read_waiters: Vec::new(),
             sync_waiters: Vec::new(),
             sticky_fault: None,
@@ -315,11 +319,13 @@ impl<I: DrainBackend> Blog<I> {
         id
     }
 
-    /// Forward everything the inner backend scheduled, intercepting drain
-    /// completions: they carry synthetic tokens the engine never issued, so
-    /// they are re-armed as blog timers at their completion instant instead
-    /// of reaching the engine.
-    fn forward_filtered(&mut self, mut inner_sched: Sched, sched: &mut Sched) {
+    /// Make one `call` on the inner backend and forward everything it
+    /// scheduled, intercepting drain completions: they carry synthetic
+    /// tokens the engine never issued, so they are re-armed as blog timers
+    /// at their completion instant instead of reaching the engine.
+    fn forward_with(&mut self, sched: &mut Sched, call: impl FnOnce(&mut I, &mut Sched)) {
+        let mut inner_sched = std::mem::take(&mut self.inner_sched);
+        call(&mut self.inner, &mut inner_sched);
         for (tok, at, res) in inner_sched.take_completions() {
             if tok >= DRAIN_TOKEN_BASE {
                 let id = self.arm(TimerEvent::InnerDone(tok, res));
@@ -331,6 +337,7 @@ impl<I: DrainBackend> Blog<I> {
         for (at, t) in inner_sched.take_timers() {
             sched.timer(at, t);
         }
+        self.inner_sched = inner_sched;
     }
 
     /// Submit a request to the inner backend and filter its schedule.
@@ -343,10 +350,9 @@ impl<I: DrainBackend> Blog<I> {
         is_async: bool,
         sched: &mut Sched,
     ) {
-        let mut inner_sched = Sched::new();
-        self.inner
-            .submit(node, now, req, token, is_async, &mut inner_sched);
-        self.forward_filtered(inner_sched, sched);
+        self.forward_with(sched, |inner, s| {
+            inner.submit(node, now, req, token, is_async, s)
+        });
     }
 
     /// Whether `file` has absorbed writes not yet drained into the inner
@@ -524,17 +530,9 @@ impl<I: DrainBackend> Blog<I> {
             .and_then(|n| n.draining)
             .expect("drain submit without in-flight drain");
         let d = *self.drains.get(&token).expect("known drain");
-        let mut inner_sched = Sched::new();
-        self.inner.submit_drain(
-            node,
-            now,
-            d.file,
-            d.offset,
-            d.bytes,
-            token,
-            &mut inner_sched,
-        );
-        self.forward_filtered(inner_sched, sched);
+        self.forward_with(sched, |inner, s| {
+            inner.submit_drain(node, now, d.file, d.offset, d.bytes, token, s)
+        });
     }
 
     /// A drain transfer completed in the inner backend.
@@ -732,16 +730,12 @@ impl<I: DrainBackend> IoService for Blog<I> {
                 TimerEvent::InnerDone(token, result) => self.inner_done(token, result, now, sched),
             }
         } else {
-            let mut inner_sched = Sched::new();
-            self.inner.on_timer(now, timer, &mut inner_sched);
-            self.forward_filtered(inner_sched, sched);
+            self.forward_with(sched, |inner, s| inner.on_timer(now, timer, s));
         }
     }
 
     fn on_start(&mut self, sched: &mut Sched) {
-        let mut inner_sched = Sched::new();
-        self.inner.on_start(&mut inner_sched);
-        self.forward_filtered(inner_sched, sched);
+        self.forward_with(sched, |inner, s| inner.on_start(s));
     }
 
     fn issue_cost(&self, node: NodeId, req: &IoRequest) -> SimDuration {
@@ -855,6 +849,7 @@ mod tests {
         blog: Blog<Mock>,
         heap: BinaryHeap<std::cmp::Reverse<(SimTime, u64, u64)>>,
         seq: u64,
+        sched: Sched,
         completions: Vec<(IoToken, SimTime, IoResult)>,
     }
 
@@ -864,29 +859,31 @@ mod tests {
                 blog: Blog::new(Mock::new(), params),
                 heap: BinaryHeap::new(),
                 seq: 0,
+                sched: Sched::new(),
                 completions: Vec::new(),
             }
         }
 
-        fn absorb_sched(&mut self, mut sched: Sched) {
-            self.completions.extend(sched.take_completions());
-            for (at, t) in sched.take_timers() {
+        /// Move what the blog scheduled into the loop, leaving `sched`
+        /// empty for the next call.
+        fn absorb_sched(&mut self) {
+            self.completions.extend(self.sched.take_completions());
+            for (at, t) in self.sched.take_timers() {
                 self.seq += 1;
                 self.heap.push(std::cmp::Reverse((at, self.seq, t)));
             }
         }
 
         fn submit(&mut self, node: NodeId, now: SimTime, req: IoRequest, token: IoToken) {
-            let mut sched = Sched::new();
-            self.blog.submit(node, now, req, token, false, &mut sched);
-            self.absorb_sched(sched);
+            self.blog
+                .submit(node, now, req, token, false, &mut self.sched);
+            self.absorb_sched();
         }
 
         fn run(&mut self) {
             while let Some(std::cmp::Reverse((at, _, timer))) = self.heap.pop() {
-                let mut sched = Sched::new();
-                self.blog.on_timer(at, timer, &mut sched);
-                self.absorb_sched(sched);
+                self.blog.on_timer(at, timer, &mut self.sched);
+                self.absorb_sched();
             }
         }
 

@@ -52,7 +52,7 @@ pub fn enabled() -> bool {
 pub struct RunPerf {
     /// Events the engine processed.
     pub events: u64,
-    /// Peak event-heap size.
+    /// Peak pending events in the engine queue (all lanes).
     pub heap_peak: u64,
     /// Peak buffered eager messages.
     pub channel_peak: u64,
@@ -116,7 +116,7 @@ pub struct PerfSnapshot {
     pub runs: u64,
     /// Engine events across all runs.
     pub events: u64,
-    /// Max event-heap size across all runs.
+    /// Max pending events in the engine queue across all runs.
     pub heap_peak: u64,
     /// Max buffered eager messages across all runs.
     pub channel_peak: u64,

@@ -14,10 +14,10 @@
 
 use crate::mesh::{CommCosts, Mesh};
 use crate::program::{GroupId, IoRequest, IoResult, IoToken, NodeProgram, Resume, Step};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The file-system side of the simulation.
@@ -98,14 +98,15 @@ impl Sched {
         self.timers.push((at, timer));
     }
 
-    /// Drain the buffered completions (wrapper-service filtering hook).
-    pub fn take_completions(&mut self) -> Vec<(IoToken, SimTime, IoResult)> {
-        std::mem::take(&mut self.completions)
+    /// Drain the buffered completions in place (wrapper-service filtering
+    /// hook); the buffer keeps its capacity for the next call.
+    pub fn take_completions(&mut self) -> std::vec::Drain<'_, (IoToken, SimTime, IoResult)> {
+        self.completions.drain(..)
     }
 
-    /// Drain the buffered timers (wrapper-service filtering hook).
-    pub fn take_timers(&mut self) -> Vec<(SimTime, u64)> {
-        std::mem::take(&mut self.timers)
+    /// Drain the buffered timers in place (wrapper-service filtering hook).
+    pub fn take_timers(&mut self) -> std::vec::Drain<'_, (SimTime, u64)> {
+        self.timers.drain(..)
     }
 }
 
@@ -184,7 +185,7 @@ type ChanIndex = HashMap<u64, u32, BuildHasherDefault<ChanHash>>;
 pub struct EnginePerf {
     /// Total events processed.
     pub events: u64,
-    /// Peak size of the event heap.
+    /// Peak pending events across all lanes of the event queue.
     pub heap_peak: u64,
     /// Peak number of buffered (sent, not yet received) eager messages.
     pub channel_peak: u64,
@@ -199,7 +200,7 @@ pub const DEFAULT_WATCHDOG: SimTime = SimTime(10_000_000 * 1_000_000_000);
 /// Why the liveness watchdog declared a run stuck rather than finished.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HangReason {
-    /// The event heap drained with programs unfinished — a deadlock or
+    /// The event queue drained with programs unfinished — a deadlock or
     /// missing partner: no future event can wake the parked nodes.
     Exhausted,
     /// Simulated time crossed the watchdog deadline with programs still
@@ -214,7 +215,7 @@ pub enum HangReason {
 /// Typed diagnosis of a stuck run, produced when the liveness watchdog
 /// (see [`Engine::set_watchdog`]) distinguishes "stuck" from "finished":
 /// which nodes are parked, which I/O requests never completed, and how many
-/// service timers were abandoned in the heap.
+/// service timers were abandoned in the event queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HangReport {
     /// Simulated time at which the hang was declared.
@@ -225,7 +226,7 @@ pub struct HangReport {
     pub parked_nodes: Vec<NodeId>,
     /// I/O tokens still in flight (issued but never completed).
     pub pending_requests: Vec<IoToken>,
-    /// Service timers abandoned unprocessed in the event heap.
+    /// Service timers abandoned unprocessed in the event queue.
     pub killed_timers: u64,
 }
 
@@ -259,21 +260,26 @@ const MAX_EVENTS: u64 = 2_000_000_000;
 /// The discrete-event engine.
 ///
 /// All hot-path state is dense and index-addressed: event payloads live in a
-/// slab whose slot index rides along in the heap entry, eager messages in
+/// slab and the event queue holds only their slot indices, eager messages in
 /// per-receiver channel tables, barrier/broadcast state in vectors indexed by
 /// group id, and I/O token state in a sliding window keyed by the token's
 /// offset from the oldest live token. The only ordering authority is the
-/// `(time, seq)` pair in the heap, so none of this affects event order.
+/// queue's `(time, seq)` order, so none of this affects event order. The
+/// queue keeps three lanes — events at the current instant in a FIFO, pushes
+/// at or after the last one in a monotone lane, everything else in a binary
+/// heap — and pops them in exactly that global order.
 pub struct Engine<S: IoService> {
-    now: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Event payload slab; the heap entry carries the slot index.
+    /// Pending events; also owns the clock (the time of the last pop).
+    queue: EventQueue,
+    /// Event payload slab, addressed by the slot index the queue carries.
     slab: Vec<Ev>,
     free: Vec<u32>,
     programs: Vec<Box<dyn NodeProgram>>,
     done: Vec<bool>,
     service: S,
+    /// The one scheduling buffer handed to the service; drained in place
+    /// after every call.
+    sched: Sched,
     mesh: Mesh,
     comm: CommCosts,
     groups: Vec<Vec<NodeId>>,
@@ -291,7 +297,6 @@ pub struct Engine<S: IoService> {
     token_base: IoToken,
     next_token: IoToken,
     events_processed: u64,
-    heap_peak: usize,
     channel_buffered: u64,
     channel_peak: u64,
     /// Liveness-watchdog deadline: a run whose simulated time crosses this
@@ -317,7 +322,7 @@ impl<S: IoService> Engine<S> {
         let all: Vec<NodeId> = (0..n as NodeId).collect();
         let done = vec![false; n];
         // In steady state each node has at most a few events in flight
-        // (resume + an async completion or message); pre-size the heap and
+        // (resume + an async completion or message); pre-size the queue and
         // slab so neither reallocates mid-run.
         let cap = 4 * n + 16;
         let mut channels = Vec::with_capacity(n);
@@ -325,14 +330,13 @@ impl<S: IoService> Engine<S> {
         let mut chan_slots = Vec::with_capacity(n);
         chan_slots.resize_with(n, ChanIndex::default);
         Engine {
-            now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::with_capacity(cap),
+            queue: EventQueue::with_capacity(cap),
             slab: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
             programs,
             done,
             service,
+            sched: Sched::default(),
             mesh,
             comm,
             groups: vec![all],
@@ -344,7 +348,6 @@ impl<S: IoService> Engine<S> {
             token_base: 1,
             next_token: 1,
             events_processed: 0,
-            heap_peak: 0,
             channel_buffered: 0,
             channel_peak: 0,
             watchdog: None,
@@ -359,7 +362,7 @@ impl<S: IoService> Engine<S> {
     }
 
     /// Arm the liveness watchdog: if simulated time crosses `deadline` while
-    /// any program is unfinished, or the event heap drains with programs
+    /// any program is unfinished, or the event queue drains with programs
     /// unfinished, the run stops and the report carries a typed
     /// [`HangReport`] instead of spinning until the event budget blows.
     /// (A zero-time livelock — events that never advance the clock — is
@@ -381,7 +384,7 @@ impl<S: IoService> Engine<S> {
     pub fn perf(&self) -> EnginePerf {
         EnginePerf {
             events: self.events_processed,
-            heap_peak: self.heap_peak as u64,
+            heap_peak: self.queue.peak() as u64,
             channel_peak: self.channel_peak,
         }
     }
@@ -403,9 +406,6 @@ impl<S: IoService> Engine<S> {
     }
 
     fn push(&mut self, at: SimTime, ev: Ev) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.seq;
-        self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot as usize] = ev;
@@ -413,15 +413,13 @@ impl<S: IoService> Engine<S> {
             }
             None => {
                 // Checked: a wrapped slot index would silently alias another
-                // event's payload and corrupt the heap.
+                // event's payload and corrupt the queue.
                 let slot = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
                 self.slab.push(ev);
                 slot
             }
         };
-        // The slot index never breaks a tie: `seq` is globally unique.
-        self.heap.push(Reverse((at, seq, slot)));
-        self.heap_peak = self.heap_peak.max(self.heap.len());
+        self.queue.push(at, slot);
     }
 
     /// Find (or create) the channel carrying messages `from -> to` under
@@ -460,17 +458,27 @@ impl<S: IoService> Engine<S> {
         }
     }
 
-    /// Drain buffered scheduling into the heap; returns whether anything
-    /// was scheduled (a no-effect timer should not extend the reported
-    /// wall time).
-    fn drain_sched(&mut self, sched: Sched) -> bool {
+    /// Drain buffered scheduling into the queue, leaving `sched` empty with
+    /// its capacity; returns whether anything was scheduled (a no-effect
+    /// timer should not extend the reported wall time).
+    fn drain_sched(&mut self, sched: &mut Sched) -> bool {
         let any = !sched.completions.is_empty() || !sched.timers.is_empty();
-        for (token, at, result) in sched.completions {
-            self.push(at.max(self.now), Ev::IoComplete(token, result));
+        for (token, at, result) in sched.completions.drain(..) {
+            self.push(at.max(self.queue.now()), Ev::IoComplete(token, result));
         }
-        for (at, timer) in sched.timers {
-            self.push(at.max(self.now), Ev::ServiceTimer(timer));
+        for (at, timer) in sched.timers.drain(..) {
+            self.push(at.max(self.queue.now()), Ev::ServiceTimer(timer));
         }
+        any
+    }
+
+    /// Make one `call` on the service with the engine's one `Sched`, then
+    /// queue what it scheduled; returns whether anything was scheduled.
+    fn call_service(&mut self, call: impl FnOnce(&mut S, &mut Sched)) -> bool {
+        let mut sched = std::mem::take(&mut self.sched);
+        call(&mut self.service, &mut sched);
+        let any = self.drain_sched(&mut sched);
+        self.sched = sched;
         any
     }
 
@@ -486,9 +494,7 @@ impl<S: IoService> Engine<S> {
     /// `blocked` list names the nodes that died mid-program. A `stop` of
     /// `SimTime(u64::MAX)` is an ordinary full run.
     pub fn run_until(&mut self, stop: SimTime) -> EngineReport {
-        let mut sched = Sched::default();
-        self.service.on_start(&mut sched);
-        self.drain_sched(sched);
+        self.call_service(|service, sched| service.on_start(sched));
         for node in 0..self.programs.len() as NodeId {
             self.push(SimTime::ZERO, Ev::Resume(node, Resume::Start));
         }
@@ -497,7 +503,7 @@ impl<S: IoService> Engine<S> {
         // nothing left to flush).
         let mut wall = SimTime::ZERO;
         let mut hang: Option<HangReport> = None;
-        while let Some(&Reverse((t, _, _))) = self.heap.peek() {
+        while let Some(t) = self.queue.peek_time() {
             if t > stop {
                 break;
             }
@@ -507,11 +513,9 @@ impl<S: IoService> Engine<S> {
                     break;
                 }
             }
-            let Reverse((t, _seq, slot)) = self.heap.pop().expect("peeked event vanished");
+            let (_, slot) = self.queue.pop().expect("peeked event vanished");
             let ev = self.slab[slot as usize];
             self.free.push(slot);
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
             self.events_processed += 1;
             assert!(
                 self.events_processed < MAX_EVENTS,
@@ -520,31 +524,30 @@ impl<S: IoService> Engine<S> {
             match ev {
                 Ev::Resume(node, resume) => {
                     self.step_node(node, resume);
-                    wall = self.now;
+                    wall = self.queue.now();
                 }
                 Ev::IoComplete(token, result) => {
                     self.io_complete(token, result);
-                    wall = self.now;
+                    wall = self.queue.now();
                 }
                 Ev::ServiceTimer(timer) => {
-                    let mut sched = Sched::default();
-                    self.service.on_timer(self.now, timer, &mut sched);
-                    if self.drain_sched(sched) {
-                        wall = self.now;
+                    let now = self.queue.now();
+                    if self.call_service(|service, sched| service.on_timer(now, timer, sched)) {
+                        wall = now;
                     }
                 }
             }
         }
-        self.service.on_run_end(self.now);
+        self.service.on_run_end(self.queue.now());
         let blocked: Vec<NodeId> = (0..self.programs.len() as NodeId)
             .filter(|&n| !self.done[n as usize])
             .collect();
-        // Quiescence check: the heap drained (nothing was abandoned past a
-        // crash cut or a tripped deadline) yet programs never finished —
-        // that is "stuck", not "finished".
-        if hang.is_none() && self.watchdog.is_some() && self.heap.is_empty() && !blocked.is_empty()
+        // Quiescence check: every queue lane drained (nothing was abandoned
+        // past a crash cut or a tripped deadline) yet programs never
+        // finished — that is "stuck", not "finished".
+        if hang.is_none() && self.watchdog.is_some() && self.queue.is_empty() && !blocked.is_empty()
         {
-            hang = Some(self.hang_report(self.now, HangReason::Exhausted));
+            hang = Some(self.hang_report(self.queue.now(), HangReason::Exhausted));
         }
         EngineReport {
             wall,
@@ -575,11 +578,9 @@ impl<S: IoService> Engine<S> {
             })
             .collect();
         let killed_timers = self
-            .heap
-            .iter()
-            .filter(|Reverse((_, _, slot))| {
-                matches!(self.slab[*slot as usize], Ev::ServiceTimer(_))
-            })
+            .queue
+            .slots()
+            .filter(|&slot| matches!(self.slab[slot as usize], Ev::ServiceTimer(_)))
             .count() as u64;
         HangReport {
             at,
@@ -597,24 +598,18 @@ impl<S: IoService> Engine<S> {
         let step = self.programs[node as usize].step(node, resume);
         match step {
             Step::Compute(d) => {
-                let at = self.now + d;
+                let at = self.queue.now() + d;
                 self.push(at, Ev::Resume(node, Resume::Computed));
             }
             Step::Io(req) => {
                 let token = self.token_insert(TokenState::Sync(node, req.file));
-                let mut sched = Sched::default();
-                self.service
-                    .submit(node, self.now, req, token, false, &mut sched);
-                let _ = self.drain_sched(sched);
+                self.submit(node, req, token, false);
             }
             Step::IoAsync(req) => {
                 let token = self.token_insert(TokenState::AsyncPending(node, req.file));
                 let issue = self.service.issue_cost(node, &req);
-                let mut sched = Sched::default();
-                self.service
-                    .submit(node, self.now, req, token, true, &mut sched);
-                let _ = self.drain_sched(sched);
-                let at = self.now + issue;
+                self.submit(node, req, token, true);
+                let at = self.queue.now() + issue;
                 self.push(at, Ev::Resume(node, Resume::IoIssued(token)));
             }
             Step::IoWait(token) => {
@@ -625,13 +620,15 @@ impl<S: IoService> Engine<S> {
                     Some(TokenState::AsyncDone(result, file)) => {
                         self.tokens[i] = None;
                         self.compact_tokens();
-                        self.service.on_iowait(node, file, self.now, self.now);
-                        let at = self.now;
+                        self.service
+                            .on_iowait(node, file, self.queue.now(), self.queue.now());
+                        let at = self.queue.now();
                         self.push(at, Ev::Resume(node, Resume::IoWaited(result)));
                     }
                     Some(TokenState::AsyncPending(owner, file)) => {
                         debug_assert_eq!(owner, node, "waiting on another node's token");
-                        self.tokens[i] = Some(TokenState::AsyncWaited(node, file, self.now));
+                        self.tokens[i] =
+                            Some(TokenState::AsyncWaited(node, file, self.queue.now()));
                     }
                     Some(other) => panic!("IoWait on non-async token {token}: {other:?}"),
                     None => panic!("IoWait on unknown token {token}"),
@@ -648,7 +645,7 @@ impl<S: IoService> Engine<S> {
                 if state.arrived.len() == size {
                     let members = std::mem::take(&mut state.arrived);
                     let size = u32::try_from(size).expect("group size exceeds u32");
-                    let release = self.now + self.mesh.barrier_time(&self.comm, size);
+                    let release = self.queue.now() + self.mesh.barrier_time(&self.comm, size);
                     for member in members {
                         self.push(release, Ev::Resume(member, Resume::BarrierDone));
                     }
@@ -656,7 +653,7 @@ impl<S: IoService> Engine<S> {
             }
             Step::Send { to, bytes, tag } => {
                 let hops = self.mesh.compute_hops(node, to);
-                let arrival = self.now + self.mesh.msg_time(&self.comm, hops, bytes);
+                let arrival = self.queue.now() + self.mesh.msg_time(&self.comm, hops, bytes);
                 let i = self.channel_index(to, node, tag);
                 let ch = &mut self.channels[to as usize][i];
                 if ch.waiting {
@@ -667,7 +664,7 @@ impl<S: IoService> Engine<S> {
                     self.channel_buffered += 1;
                     self.channel_peak = self.channel_peak.max(self.channel_buffered);
                 }
-                let resumed = self.now + self.comm.sw_overhead;
+                let resumed = self.queue.now() + self.comm.sw_overhead;
                 self.push(resumed, Ev::Resume(node, Resume::Sent));
             }
             Step::Recv { from, tag } => {
@@ -675,7 +672,7 @@ impl<S: IoService> Engine<S> {
                 let ch = &mut self.channels[node as usize][i];
                 if let Some((arrival, bytes)) = ch.queue.pop_front() {
                     self.channel_buffered -= 1;
-                    let at = arrival.max(self.now);
+                    let at = arrival.max(self.queue.now());
                     self.push(at, Ev::Resume(node, Resume::Received(bytes)));
                 } else {
                     debug_assert!(!ch.waiting, "double recv on ({from}, {node}, {tag})");
@@ -698,7 +695,8 @@ impl<S: IoService> Engine<S> {
                     let payload = state.bytes;
                     state.bytes = 0;
                     let size = u32::try_from(size).expect("group size exceeds u32");
-                    let done = self.now + self.mesh.broadcast_time(&self.comm, size, payload);
+                    let done =
+                        self.queue.now() + self.mesh.broadcast_time(&self.comm, size, payload);
                     for member in members {
                         self.push(done, Ev::Resume(member, Resume::BroadcastDone));
                     }
@@ -710,12 +708,18 @@ impl<S: IoService> Engine<S> {
         }
     }
 
+    /// Hand one I/O call to the service and queue what it scheduled.
+    fn submit(&mut self, node: NodeId, req: IoRequest, token: IoToken, is_async: bool) {
+        let now = self.queue.now();
+        self.call_service(|service, sched| service.submit(node, now, req, token, is_async, sched));
+    }
+
     fn io_complete(&mut self, token: IoToken, result: IoResult) {
         let state = self.token_index(token).and_then(|i| self.tokens[i].take());
         match state {
             Some(TokenState::Sync(node, _file)) => {
                 self.compact_tokens();
-                let at = self.now;
+                let at = self.queue.now();
                 self.push(at, Ev::Resume(node, Resume::IoDone(result)));
             }
             Some(TokenState::AsyncPending(_node, file)) => {
@@ -725,8 +729,9 @@ impl<S: IoService> Engine<S> {
             }
             Some(TokenState::AsyncWaited(node, file, wait_start)) => {
                 self.compact_tokens();
-                self.service.on_iowait(node, file, wait_start, self.now);
-                let at = self.now;
+                self.service
+                    .on_iowait(node, file, wait_start, self.queue.now());
+                let at = self.queue.now();
                 self.push(at, Ev::Resume(node, Resume::IoWaited(result)));
             }
             Some(TokenState::AsyncDone(..)) | None => {
@@ -1143,6 +1148,99 @@ mod tests {
         assert_eq!(hang.reason, HangReason::Exhausted);
         assert_eq!(hang.parked_nodes, vec![0]);
         assert_eq!(hang.killed_timers, 0);
+    }
+
+    /// A service that never completes a request: each submit arms a
+    /// request deadline 600 s out, as `FsCore` does under a fault schedule,
+    /// and optionally a retry timer that re-arms itself every `retry`.
+    struct DeadlineService {
+        retry: Option<SimDuration>,
+    }
+
+    impl IoService for DeadlineService {
+        fn submit(
+            &mut self,
+            _node: NodeId,
+            now: SimTime,
+            _req: IoRequest,
+            _token: IoToken,
+            _is_async: bool,
+            sched: &mut Sched,
+        ) {
+            sched.timer(now + SimDuration::from_secs(600), 0);
+            if let Some(retry) = self.retry {
+                sched.timer(now + retry, 1);
+            }
+        }
+
+        fn on_timer(&mut self, now: SimTime, timer: u64, sched: &mut Sched) {
+            if let (1, Some(retry)) = (timer, self.retry) {
+                sched.timer(now + retry, 1);
+            }
+        }
+    }
+
+    /// Node 0 computes 1 s and finishes; node 1 issues one read that never
+    /// completes. The 1 s resume opens the monotone lane, so the read's
+    /// deadline lands behind it there and any retry timer in the heap.
+    fn deadline_engine(retry: Option<SimDuration>) -> Engine<DeadlineService> {
+        let programs: Vec<Box<dyn NodeProgram>> = vec![
+            Box::new(ScriptProgram::new(vec![ScriptOp::Compute(
+                SimDuration::from_secs(1),
+            )])),
+            Box::new(ScriptProgram::new(vec![ScriptOp::Io(IoRequest::read(
+                1, 64,
+            ))])),
+        ];
+        Engine::new(
+            Mesh::for_nodes(2, 1),
+            CommCosts::default(),
+            programs,
+            DeadlineService { retry },
+        )
+    }
+
+    #[test]
+    fn watchdog_sees_every_queue_lane() {
+        // Crash cut with the only abandoned event in the monotone lane: the
+        // queue is not drained, so this is a crash, not an exhausted hang.
+        let mut e = deadline_engine(None);
+        e.set_default_watchdog();
+        let report = e.run_until(SimTime(0) + SimDuration::from_secs(2));
+        assert_eq!(e.queue.lane_lens(), (0, 1, 0));
+        assert_eq!(report.blocked, vec![1]);
+        assert_eq!(
+            report.hang, None,
+            "a non-empty monotone lane is not quiescence"
+        );
+
+        // Tripped deadline with one abandoned timer in the monotone lane and
+        // one in the heap: both are counted.
+        let mut e = deadline_engine(Some(SimDuration::from_secs(10)));
+        e.set_watchdog(SimTime(0) + SimDuration::from_secs(15));
+        let report = e.run();
+        assert_eq!(e.queue.lane_lens(), (0, 1, 1));
+        let hang = report.hang.expect("watchdog must trip");
+        assert!(matches!(hang.reason, HangReason::DeadlineExceeded { .. }));
+        assert_eq!(hang.pending_requests.len(), 1);
+        assert_eq!(hang.killed_timers, 2);
+
+        // The same-instant lane is empty at any stop, since its events sit at
+        // the clock, which never passes a stop or a tripped deadline; so
+        // place abandoned timers there directly and take the snapshot.
+        let mut e = deadline_engine(None);
+        let now = e.queue.now();
+        e.push(now, Ev::ServiceTimer(7));
+        e.push(now, Ev::Resume(0, Resume::Start));
+        e.push(now, Ev::ServiceTimer(8));
+        assert_eq!(e.queue.lane_lens(), (3, 0, 0));
+        assert!(!e.queue.is_empty(), "a non-empty FIFO is not quiescence");
+        assert_eq!(e.hang_report(now, HangReason::Exhausted).killed_timers, 2);
+        e.push(now + SimDuration::from_secs(600), Ev::ServiceTimer(9));
+        e.push(now + SimDuration::from_secs(5), Ev::ServiceTimer(10));
+        assert_eq!(e.queue.lane_lens(), (3, 1, 1));
+        let hang = e.hang_report(now, HangReason::Exhausted);
+        assert_eq!(hang.killed_timers, 4, "timers in all three lanes");
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod ionode;
 pub mod machine;
 pub mod mesh;
 pub mod program;
+mod queue;
 pub mod raid;
 pub mod time;
 
