@@ -290,6 +290,35 @@ fn machine(fast: bool) -> MachineConfig {
     }
 }
 
+/// The three applications' parameters for the multi-app suites: paper
+/// scale, or the scaled-down `--fast` set.
+fn app_params(fast: bool) -> (EscatParams, RenderParams, HtfParams) {
+    if fast {
+        (
+            EscatParams::small(8, 8),
+            RenderParams::small(8, 4),
+            HtfParams::small(8),
+        )
+    } else {
+        (
+            EscatParams::paper(),
+            RenderParams::paper(),
+            HtfParams::paper(),
+        )
+    }
+}
+
+/// A fresh report body, opened with the `--fast` caveat when the run uses
+/// scaled-down parameters.
+fn report_body(cli: &Cli) -> String {
+    if cli.fast {
+        "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n"
+            .to_string()
+    } else {
+        String::new()
+    }
+}
+
 fn run_escat(cli: &Cli) {
     let _phase = sio_core::perf::phase("escat");
     let params = if cli.fast {
@@ -302,12 +331,7 @@ fn run_escat(cli: &Cli) {
         params.nodes, params.iters
     );
     let a = experiments::escat(&machine(cli.fast), &params);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     body.push_str(&report::section(
         "Table 1 — ESCAT I/O operations",
         &a.table1.render(),
@@ -359,12 +383,7 @@ fn run_render(cli: &Cli) {
         params.nodes, params.frames
     );
     let a = experiments::render(&machine(cli.fast), &params);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     body.push_str(&report::section(
         "Table 3 — RENDER I/O operations",
         &a.table3.render(),
@@ -410,12 +429,7 @@ fn run_htf(cli: &Cli) {
     };
     eprintln!("[repro] htf: {} nodes, 3-program pipeline...", params.nodes);
     let a = experiments::htf(&machine(cli.fast), &params);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     for (name, table, sizes, out) in [
         (
             "HTF Initialization (psetup)",
@@ -488,12 +502,7 @@ fn run_ppfs_ablation(cli: &Cli) {
     };
     eprintln!("[repro] ppfs ablation (ESCAT on PFS vs PPFS)...");
     let r = experiments::ppfs_ablation(&machine(cli.fast), &params);
-    let note = if cli.fast {
-        "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n"
-    } else {
-        ""
-    };
-    let body = note.to_string()
+    let body = report_body(cli)
         + &report::section(
             "X1 — §5.2 PPFS write-behind + aggregation on ESCAT",
             &format!(
@@ -552,12 +561,7 @@ fn run_crossover(cli: &Cli) {
 fn run_scaling(cli: &Cli) {
     let _phase = sio_core::perf::phase("scaling");
     eprintln!("[repro] scaling studies (S1 weak scaling, S2 data growth)...");
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
 
     let big_machine = if cli.fast {
         MachineConfig::tiny(16, 4)
@@ -569,7 +573,7 @@ fn run_scaling(cli: &Cli) {
     } else {
         &[32, 64, 128, 256, 512]
     };
-    let rows = experiments::escat_scaling(&big_machine, counts);
+    let rows = experiments::escat_scaling_jobs(&big_machine, counts, runner::configured_jobs());
     let mut b = String::new();
     b.push_str(
         "nodes   io node-time(s)   wall(s)   io share of node-time
@@ -612,7 +616,12 @@ fn run_scaling(cli: &Cli) {
         EscatParams::paper()
     };
     let scales: &[u32] = if cli.fast { &[1, 8] } else { &[1, 4, 16] };
-    let rows = experiments::escat_growth(&machine(cli.fast), &params, scales);
+    let rows = experiments::escat_growth_jobs(
+        &machine(cli.fast),
+        &params,
+        scales,
+        runner::configured_jobs(),
+    );
     let mut b = String::new();
     b.push_str(
         "scale   write volume(B)   io share   wall(s)
@@ -656,27 +665,10 @@ fn run_scaling(cli: &Cli) {
 fn run_faults(cli: &Cli) {
     let _phase = sio_core::perf::phase("faults");
     let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
+    let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] fault suite (X4: degraded / rebuild / stalls / crash)...");
-    let rows = experiments::fault_suite(&m, &ep, &rp, &hp);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let rows = experiments::fault_suite_jobs(&m, &ep, &rp, &hp, runner::configured_jobs());
+    let mut body = report_body(cli);
     let mut b = String::new();
     b.push_str(
         "workload   scenario    wall(s)   read(s)  write(s)  retry  failover  lost  timeout  rebuild(MB)  degraded  dirty(KB)  replayed\n",
@@ -738,29 +730,11 @@ fn run_faults(cli: &Cli) {
 fn run_cio(cli: &Cli) {
     let _phase = sio_core::perf::phase("cio");
     let m = machine(cli.fast);
-    let (ep, rp, hp, scales) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-            vec![4u32, 8],
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-            vec![64u32, 128],
-        )
-    };
+    let (ep, rp, hp) = app_params(cli.fast);
+    let scales: &[u32] = if cli.fast { &[4, 8] } else { &[64, 128] };
     eprintln!("[repro] collective I/O suite (X6: PFS vs PPFS vs CIO)...");
-    let rows = experiments::cio_suite(&m, &ep, &rp, &hp, &scales);
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let rows = experiments::cio_suite_jobs(&m, &ep, &rp, &hp, scales, runner::configured_jobs());
+    let mut body = report_body(cli);
     let mut b = String::new();
     b.push_str(
         "workload         backend  nodes   wall(s)  wreq/io  wmean(KB)  rreq/io  rmean(KB)  exch(s)  collectives\n",
@@ -816,41 +790,17 @@ fn run_cio(cli: &Cli) {
 fn run_recover(cli: &Cli) {
     let _phase = sio_core::perf::phase("recover");
     let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
-    let scenarios: Vec<String> = match cli.crash_frac {
-        Some(f) => vec![format!("crash@{f}")],
-        None => ["crash30", "crash70", "crash50-ionode"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    };
+    let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] recovery suite (X5: checkpoint interval x crash scenario)...");
     let rows = recovery::recover_suite_scenarios_jobs(
         &m,
         &ep,
         &rp,
         &hp,
-        &scenarios,
+        cli.crash_frac,
         runner::configured_jobs(),
     );
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     let mut b = String::new();
     b.push_str(
         "workload    iv scenario        epoch  ckpt(s)  ovh(%)  crash(s)  recov(s)  ttr(s)  rerun(s)  saved(s)  lost(MB)  torn  dirty_ck(KB)\n",
@@ -916,19 +866,7 @@ fn run_recover(cli: &Cli) {
 fn run_blog(cli: &Cli) {
     let _phase = sio_core::perf::phase("blog");
     let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
+    let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] burst-buffer suite (X7: log tier over pfs/ppfs/cio)...");
     let rows = burst::blog_suite_overrides_jobs(
         &m,
@@ -939,12 +877,7 @@ fn run_blog(cli: &Cli) {
         cli.drain_mbps,
         runner::configured_jobs(),
     );
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     let mut b = String::new();
     b.push_str(
         "workload    inner  log(MB)  drain(MB/s)  crash  commit(ms)  direct(ms)  speedup  epoch  pend(MB)  replay(s)  ttr(s)  dttr(s)  lost(MB)  occ(MB)  stall(s)\n",
@@ -1018,19 +951,7 @@ fn run_blog(cli: &Cli) {
 fn run_chaos(cli: &Cli) {
     let _phase = sio_core::perf::phase("chaos");
     let m = machine(cli.fast);
-    let (ep, rp, hp) = if cli.fast {
-        (
-            EscatParams::small(8, 8),
-            RenderParams::small(8, 4),
-            HtfParams::small(8),
-        )
-    } else {
-        (
-            EscatParams::paper(),
-            RenderParams::paper(),
-            HtfParams::paper(),
-        )
-    };
+    let (ep, rp, hp) = app_params(cli.fast);
     let seed = cli.chaos_seed.unwrap_or(42);
     let cells = cli.cells.unwrap_or(50);
     eprintln!(
@@ -1039,12 +960,7 @@ fn run_chaos(cli: &Cli) {
     let rows = chaos::chaos_suite_jobs(&m, &ep, &rp, &hp, seed, cells, runner::configured_jobs());
     let violations = rows.iter().filter(|r| !r.invariants_ok()).count();
 
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
     let mut b = String::new();
     b.push_str(&format!("campaign seed {seed}, {cells} cells\n"));
     b.push_str(
@@ -1140,15 +1056,11 @@ fn run_ablations(cli: &Cli) {
     let _phase = sio_core::perf::phase("ablations");
     let m = machine(cli.fast);
     eprintln!("[repro] ablations (A1 modes, A2 policies, A3 queue, A4 raid)...");
-    let mut body = String::new();
-    if cli.fast {
-        body.push_str(
-            "NOTE: --fast uses scaled-down parameters; paper-vs-measured checks are expected to deviate.\n\n",
-        );
-    }
+    let mut body = report_body(cli);
 
     let (nodes, per_node) = if cli.fast { (4, 4) } else { (32, 16) };
-    let rows = experiments::mode_ablation(&m, nodes, per_node, 2048);
+    let rows =
+        experiments::mode_ablation_jobs(&m, nodes, per_node, 2048, runner::configured_jobs());
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1163,7 +1075,7 @@ fn run_ablations(cli: &Cli) {
         &b,
     ));
 
-    let rows = experiments::policy_matrix(&m);
+    let rows = experiments::policy_matrix_jobs(&m, runner::configured_jobs());
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1176,7 +1088,11 @@ fn run_ablations(cli: &Cli) {
         &b,
     ));
 
-    let rows = experiments::queue_discipline(&m, if cli.fast { 4 } else { 16 });
+    let rows = experiments::queue_discipline_jobs(
+        &m,
+        if cli.fast { 4 } else { 16 },
+        runner::configured_jobs(),
+    );
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1186,7 +1102,7 @@ fn run_ablations(cli: &Cli) {
     }
     body.push_str(&report::section("A3 — I/O-node queue discipline", &b));
 
-    let rows = experiments::raid_degraded(&m);
+    let rows = experiments::raid_degraded_jobs(&m, runner::configured_jobs());
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1196,7 +1112,11 @@ fn run_ablations(cli: &Cli) {
     }
     body.push_str(&report::section("A4 — RAID-3 degraded-mode reads", &b));
 
-    let rows = experiments::two_level_buffering(&m, if cli.fast { 4 } else { 8 });
+    let rows = experiments::two_level_buffering_jobs(
+        &m,
+        if cli.fast { 4 } else { 8 },
+        runner::configured_jobs(),
+    );
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(
@@ -1214,7 +1134,7 @@ fn run_ablations(cli: &Cli) {
     } else {
         (EscatParams::paper(), HtfParams::paper())
     };
-    let rows = experiments::workload_mix(&m, &ep, &hp);
+    let rows = experiments::workload_mix_jobs(&m, &ep, &hp, runner::configured_jobs());
     let mut b = String::new();
     for r in &rows {
         b.push_str(&format!(

@@ -20,12 +20,13 @@
 //! canonical case order whatever the worker count, and the paper-scale
 //! digests live in `results/golden_blog.txt`.
 
-use crate::recovery::{commit_events, durable_cut, durable_cut_logged, lost_work_bytes};
+use crate::cells::{run_checkpointed, Apps, Stage};
+use crate::recovery::commit_events;
 use crate::runner;
 use paragon_sim::{MachineConfig, SimTime};
 use sio_apps::checkpoint::CheckpointPlan;
-use sio_apps::workload::{run_workload_crashable, Backend};
-use sio_apps::{BlogParams, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::workload::Backend;
+use sio_apps::{BlogParams, EscatParams, HtfParams, RenderParams};
 use sio_core::event::NS_PER_SEC;
 use sio_core::Trace;
 
@@ -123,20 +124,15 @@ fn mean_commit_ns(trace: &Trace, plan: &CheckpointPlan) -> f64 {
     }
 }
 
-/// Run the X7 burst-buffer sweep with [`runner::configured_jobs`] workers.
-pub fn blog_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-) -> Vec<BlogRow> {
-    blog_suite_jobs(machine, escat, render, htf, runner::configured_jobs())
-}
-
-/// [`blog_suite_jobs`] with pinned sweep axes: when a log size or drain
-/// bandwidth override is given (`repro blog --log-mb/--drain-mbps`), the
-/// grid collapses to the workload × inner cells at that point — sweeping
-/// an axis the user just pinned would be noise.
+/// Run the X7 burst-buffer sweep on `jobs` workers.
+///
+/// When a log size or drain bandwidth override is given (`repro blog
+/// --log-mb/--drain-mbps`), the grid collapses to the workload × inner
+/// cells at that point — sweeping an axis the user just pinned would be
+/// noise. Three fan-out phases — healthy walls on the tier, healthy walls
+/// direct, then the crash / replay / resume cells — with each shared
+/// baseline run once, so rows are worker-count invariant and come back in
+/// canonical case order.
 pub fn blog_suite_overrides_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
@@ -161,48 +157,7 @@ pub fn blog_suite_overrides_jobs(
         }
         cases
     };
-    blog_suite_cases_jobs(machine, escat, render, htf, cases, jobs)
-}
-
-/// [`blog_suite`] with an explicit worker count. Three fan-out phases —
-/// healthy walls on the tier, healthy walls direct, then the crash /
-/// replay / resume cells — with shared baselines deduplicated, so rows are
-/// worker-count invariant and come back in canonical case order.
-pub fn blog_suite_jobs(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    jobs: usize,
-) -> Vec<BlogRow> {
-    blog_suite_cases_jobs(machine, escat, render, htf, blog_cases(), jobs)
-}
-
-fn blog_suite_cases_jobs(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    cases: Vec<(&'static str, &'static str, u64, f64, f64)>,
-    jobs: usize,
-) -> Vec<BlogRow> {
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            other => panic!("unknown blog workload '{other}'"),
-        }
-    };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "render" => vec![render.frames],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            other => panic!("unknown blog workload '{other}'"),
-        }
-    };
-    let interval_of = |wname: &str| -> u32 { units_of(wname)[0].div_ceil(3).max(1) };
+    let apps = Apps { escat, render, htf };
     let direct_of = |iname: &str| -> Backend { Backend::parse(iname).expect("known inner") };
     let blog_of = |iname: &str, log_mb: u64, drain_mbps: f64| -> Backend {
         Backend::Blog(
@@ -210,93 +165,52 @@ fn blog_suite_cases_jobs(
             BlogParams::new(log_mb, drain_mbps),
         )
     };
-    let run_healthy = |wname: &str, backend: &Backend| {
-        let cw = build(wname, interval_of(wname), 0);
-        run_workload_crashable(machine, &cw.workload, backend, None, None, &cw.plan.covered)
+    // Healthy checkpointed wall and mean commit latency.
+    let healthy = |wname: &str, backend: &Backend| -> (SimTime, f64) {
+        let cw = apps.checkpointed(wname, apps.interval(wname), 0);
+        let out = run_checkpointed(machine, &cw, backend, None, None);
+        (out.report.wall, mean_commit_ns(&out.trace, &cw.plan))
     };
 
-    // Phase 1: healthy checkpointed walls + commit latency on the log
-    // tier, one per distinct (workload, inner, log, drain) configuration.
-    let mut blog_cfgs: Vec<(&str, &str, u64, f64)> =
-        cases.iter().map(|&(w, i, l, d, _)| (w, i, l, d)).collect();
-    blog_cfgs.dedup();
-    let blog_healthy = runner::par_map_jobs(jobs, blog_cfgs.clone(), |_, (w, i, l, d)| {
-        let out = run_healthy(w, &blog_of(i, l, d));
-        let plan = build(w, interval_of(w), 0).plan;
-        (out.report.wall, mean_commit_ns(&out.trace, &plan))
+    // Phase 1: the log-tier baselines, one per (workload, inner, log,
+    // drain) configuration.
+    let blog_base = Stage::run(
+        jobs,
+        cases.iter().map(|&(w, i, l, d, _)| (w, i, l, d)),
+        |(w, i, l, d)| healthy(w, &blog_of(i, l, d)),
+    );
+    // Phase 2: the direct baselines, one per (workload, inner).
+    let direct_base = Stage::run(jobs, cases.iter().map(|&(w, i, ..)| (w, i)), |(w, i)| {
+        healthy(w, &direct_of(i))
     });
-    let blog_base = |w: &str, i: &str, l: u64, d: f64| -> (SimTime, f64) {
-        blog_healthy[blog_cfgs.iter().position(|c| *c == (w, i, l, d)).unwrap()]
-    };
-
-    // Phase 2: the direct baselines, one per distinct (workload, inner).
-    let mut direct_cfgs: Vec<(&str, &str)> = cases.iter().map(|&(w, i, ..)| (w, i)).collect();
-    direct_cfgs.sort_unstable();
-    direct_cfgs.dedup();
-    let direct_healthy = runner::par_map_jobs(jobs, direct_cfgs.clone(), |_, (w, i)| {
-        let out = run_healthy(w, &direct_of(i));
-        let plan = build(w, interval_of(w), 0).plan;
-        (out.report.wall, mean_commit_ns(&out.trace, &plan))
-    });
-    let direct_base = |w: &str, i: &str| -> (SimTime, f64) {
-        direct_healthy[direct_cfgs.iter().position(|c| *c == (w, i)).unwrap()]
-    };
 
     // Phase 3: crash each cell on both tiers, derive both cuts, resume.
     runner::par_map_jobs(
         jobs,
         cases,
         |_, (wname, iname, log_mb, drain_mbps, frac)| {
-            let iv = interval_of(wname);
-            let units = units_of(wname);
-            let blog_backend = blog_of(iname, log_mb, drain_mbps);
-            let direct_backend = direct_of(iname);
-            let (blog_wall, blog_commit_ns) = blog_base(wname, iname, log_mb, drain_mbps);
-            let (direct_wall, direct_commit_ns) = direct_base(wname, iname);
+            let iv = apps.interval(wname);
+            let &(blog_wall, blog_commit_ns) = blog_base.get(&(wname, iname, log_mb, drain_mbps));
+            let &(direct_wall, direct_commit_ns) = direct_base.get(&(wname, iname));
+            let crash_at = |wall: SimTime| SimTime((wall.nanos() as f64 * frac) as u64);
 
-            let cw = build(wname, iv, 0);
-            let t_crash_b = SimTime((blog_wall.nanos() as f64 * frac) as u64);
-            let crashed_b = run_workload_crashable(
+            let logged = apps.crash_and_resume(
                 machine,
-                &cw.workload,
-                &blog_backend,
+                wname,
+                iv,
+                &blog_of(iname, log_mb, drain_mbps),
                 None,
-                Some(t_crash_b),
-                &cw.plan.covered,
+                crash_at(blog_wall),
             );
-            let cut_b = durable_cut_logged(&crashed_b.trace, &cw.plan, &units, t_crash_b);
-            let lost_b = lost_work_bytes(&crashed_b.trace, &cw.plan, &units, cut_b.epoch);
-            let stats = crashed_b.blog.expect("log tier ran");
+            let stats = logged.crashed.blog.expect("log tier ran");
             let replay_secs = stats.pending_bytes as f64 / (drain_mbps * 1.0e6);
-            let resumed_b = build(wname, iv, cut_b.epoch);
-            let out_b = run_workload_crashable(
+            let direct = apps.crash_and_resume(
                 machine,
-                &resumed_b.workload,
-                &blog_backend,
+                wname,
+                iv,
+                &direct_of(iname),
                 None,
-                None,
-                &resumed_b.plan.covered,
-            );
-
-            let t_crash_d = SimTime((direct_wall.nanos() as f64 * frac) as u64);
-            let crashed_d = run_workload_crashable(
-                machine,
-                &cw.workload,
-                &direct_backend,
-                None,
-                Some(t_crash_d),
-                &cw.plan.covered,
-            );
-            let cut_d = durable_cut(&crashed_d.trace, &cw.plan, &units, t_crash_d);
-            let lost_d = lost_work_bytes(&crashed_d.trace, &cw.plan, &units, cut_d.epoch);
-            let resumed_d = build(wname, iv, cut_d.epoch);
-            let out_d = run_workload_crashable(
-                machine,
-                &resumed_d.workload,
-                &direct_backend,
-                None,
-                None,
-                &resumed_d.plan.covered,
+                crash_at(direct_wall),
             );
 
             let commit_ms = blog_commit_ns / 1e6;
@@ -312,15 +226,15 @@ fn blog_suite_cases_jobs(
                 commit_speedup: direct_commit_ms / commit_ms.max(f64::EPSILON),
                 wall_secs: blog_wall.nanos() as f64 / NS_PER_SEC,
                 direct_wall_secs: direct_wall.nanos() as f64 / NS_PER_SEC,
-                durable_epoch: cut_b.epoch,
-                direct_epoch: cut_d.epoch,
-                epochs: cw.plan.epochs,
+                durable_epoch: logged.cut.epoch,
+                direct_epoch: direct.cut.epoch,
+                epochs: logged.epochs,
                 pending_mb: stats.pending_bytes as f64 / 1e6,
                 replay_secs,
-                ttr_secs: replay_secs + out_b.report.wall.nanos() as f64 / NS_PER_SEC,
-                direct_ttr_secs: out_d.report.wall.nanos() as f64 / NS_PER_SEC,
-                lost_mb: lost_b as f64 / 1e6,
-                direct_lost_mb: lost_d as f64 / 1e6,
+                ttr_secs: replay_secs + logged.resumed.report.wall.nanos() as f64 / NS_PER_SEC,
+                direct_ttr_secs: direct.resumed.report.wall.nanos() as f64 / NS_PER_SEC,
+                lost_mb: logged.lost_bytes as f64 / 1e6,
+                direct_lost_mb: direct.lost_bytes as f64 / 1e6,
                 occ_peak_mb: stats.occupancy_peak as f64 / 1e6,
                 stall_secs: stats.stall_ns as f64 / NS_PER_SEC,
             }
@@ -337,11 +251,13 @@ mod tests {
     }
 
     fn small_suite(jobs: usize) -> Vec<BlogRow> {
-        blog_suite_jobs(
+        blog_suite_overrides_jobs(
             &tiny(),
             &EscatParams::small(4, 6),
             &RenderParams::small(4, 3),
             &HtfParams::small(4),
+            None,
+            None,
             jobs,
         )
     }

@@ -42,14 +42,14 @@
 //! [`runner::par_map_jobs`]. Paper-scale digests live in
 //! `results/golden_chaos.txt`.
 
-use crate::recovery::{durable_cut, durable_cut_logged, DurableCut};
+use crate::cells::{durable_cut_for, run_checkpointed, Apps, Stage};
 use crate::runner;
 use paragon_sim::fault::{FaultDomain, FaultSchedule};
 use paragon_sim::{MachineConfig, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sio_apps::workload::{run_workload_crashable, Backend, NodeLoad, RunOutput};
-use sio_apps::{BackendSpec, CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::workload::{Backend, RunOutput};
+use sio_apps::{BackendSpec, EscatParams, HtfParams, RenderParams};
 use sio_core::event::{IoOp, NS_PER_SEC};
 use sio_core::Trace;
 
@@ -530,31 +530,10 @@ fn typed_faults(out: &RunOutput) -> (u64, u64, u64) {
     (unavailable, pf.timeouts, pf.data_loss_events)
 }
 
-/// Run the X8 chaos campaign with [`runner::configured_jobs`] workers.
-pub fn chaos_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    seed: u64,
-    cells: u32,
-) -> Vec<ChaosRow> {
-    chaos_suite_jobs(
-        machine,
-        escat,
-        render,
-        htf,
-        seed,
-        cells,
-        runner::configured_jobs(),
-    )
-}
-
-/// [`chaos_suite`] with an explicit worker count. Two fan-out phases —
-/// healthy baselines (one per distinct workload × backend in the
-/// campaign, deduplicated), then every cell with its schedule scaled to
-/// the baseline wall — so rows come back in cell order and are
-/// worker-count invariant.
+/// Run the X8 chaos campaign on `jobs` workers. Two fan-out phases —
+/// healthy baselines (one per distinct workload × backend in the campaign),
+/// then every cell with its schedule scaled to the baseline wall — so rows
+/// come back in cell order and are worker-count invariant.
 pub fn chaos_suite_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
@@ -565,63 +544,30 @@ pub fn chaos_suite_jobs(
     jobs: usize,
 ) -> Vec<ChaosRow> {
     let specs = chaos_specs(seed, cells, machine.io_nodes);
-
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            other => panic!("unknown chaos workload '{other}'"),
-        }
-    };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "render" => vec![render.frames],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            other => panic!("unknown chaos workload '{other}'"),
-        }
-    };
-    let interval_of = |wname: &str| -> u32 { units_of(wname)[0].div_ceil(3).max(1) };
+    let apps = Apps { escat, render, htf };
     let backend_of = |bname: &str| -> Backend { Backend::parse(bname).expect("registered name") };
+    let fresh = |wname: &str| apps.checkpointed(wname, apps.interval(wname), 0);
 
     // Phase 1: healthy baselines, one per distinct (workload, backend).
-    let mut combos: Vec<(&str, &str)> = specs.iter().map(|s| (s.workload, s.backend)).collect();
-    combos.sort_unstable();
-    combos.dedup();
-    let baselines: Vec<(SimTime, Vec<NodeLoad>)> =
-        runner::par_map_jobs(jobs, combos.clone(), |_, (w, b)| {
-            let cw = build(w, interval_of(w), 0);
-            let out = run_workload_crashable(
-                machine,
-                &cw.workload,
-                &backend_of(b),
-                None,
-                None,
-                &cw.plan.covered,
-            );
+    let baselines = Stage::run(
+        jobs,
+        specs.iter().map(|s| (s.workload, s.backend)),
+        |(w, b)| {
+            let out = run_checkpointed(machine, &fresh(w), &backend_of(b), None, None);
             (out.report.wall, out.node_loads)
-        });
-    let base_of = |w: &str, b: &str| -> &(SimTime, Vec<NodeLoad>) {
-        &baselines[combos.iter().position(|c| *c == (w, b)).unwrap()]
-    };
+        },
+    );
 
     // Phase 2: the cells.
     runner::par_map_jobs(jobs, specs, |_, spec| {
-        let (healthy_wall, healthy_loads) = base_of(spec.workload, spec.backend);
+        let (healthy_wall, healthy_loads) = baselines.get(&(spec.workload, spec.backend));
         let schedule = spec.schedule(*healthy_wall);
         let stop_at = spec
             .crash_frac
             .map(|f| SimTime((healthy_wall.nanos() as f64 * f) as u64));
-        let cw = build(spec.workload, interval_of(spec.workload), 0);
-        let out = run_workload_crashable(
-            machine,
-            &cw.workload,
-            &backend_of(spec.backend),
-            Some(&schedule),
-            stop_at,
-            &cw.plan.covered,
-        );
+        let cw = fresh(spec.workload);
+        let backend = backend_of(spec.backend);
+        let out = run_checkpointed(machine, &cw, &backend, Some(&schedule), stop_at);
 
         let (unavailable, timeouts, data_loss) = typed_faults(&out);
         let faulted = unavailable + timeouts + data_loss;
@@ -651,12 +597,8 @@ pub fn chaos_suite_jobs(
         // plan, through the backend-appropriate cut analysis.
         let (durable_epoch, cut_ok) = match stop_at {
             Some(t) => {
-                let units = units_of(spec.workload);
-                let cut: DurableCut = if spec.backend.starts_with("blog+") {
-                    durable_cut_logged(&out.trace, &cw.plan, &units, t)
-                } else {
-                    durable_cut(&out.trace, &cw.plan, &units, t)
-                };
+                let units = apps.units(spec.workload);
+                let cut = durable_cut_for(&backend, &out.trace, &cw.plan, &units, t);
                 (cut.epoch, cut.epoch <= cw.plan.epochs)
             }
             None => (0, true),

@@ -9,9 +9,11 @@
 //! is an independent pure function of its configuration, so the worker
 //! count (`--jobs` / `SIO_JOBS`) affects wall time only — rows come back
 //! in input order and are bit-identical to the serial path
-//! (`tests/golden_traces.rs`). The `*_jobs` variants take an explicit
-//! worker count; the plain functions use [`runner::configured_jobs`].
+//! (`tests/golden_traces.rs`). Each sweep has one entry point, its `*_jobs`
+//! function, which takes the worker count; callers that follow `--jobs`
+//! pass [`runner::configured_jobs`].
 
+use crate::cells::{Apps, Stage};
 use crate::compare::{self, Check, ShapeCheck};
 use crate::figures::{self, FigureSet};
 use crate::optable::OpTable;
@@ -248,23 +250,8 @@ pub struct CrossoverRow {
     pub io_preferred: bool,
 }
 
-/// Sweep per-node I/O rates and report the crossover (X3).
-pub fn htf_crossover(
-    integral_bytes: f64,
-    flops_per_integral: f64,
-    flop_rate: f64,
-    rates_mb_s: &[f64],
-) -> Vec<CrossoverRow> {
-    htf_crossover_jobs(
-        integral_bytes,
-        flops_per_integral,
-        flop_rate,
-        rates_mb_s,
-        runner::configured_jobs(),
-    )
-}
-
-/// [`htf_crossover`] with an explicit worker count.
+/// Sweep per-node I/O rates and report the crossover (X3), on `jobs`
+/// workers.
 pub fn htf_crossover_jobs(
     integral_bytes: f64,
     flops_per_integral: f64,
@@ -287,11 +274,12 @@ pub fn htf_crossover_jobs(
 /// The paper's crossover sweep: ~100-byte integrals, 500 flops each, a
 /// 20 MFLOPS sustained node.
 pub fn htf_crossover_paper() -> Vec<CrossoverRow> {
-    htf_crossover(
+    htf_crossover_jobs(
         100.0,
         500.0,
         20.0e6,
         &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0],
+        runner::configured_jobs(),
     )
 }
 
@@ -308,16 +296,6 @@ pub struct ModeRow {
 
 /// Run the access-mode ablation (A1): synchronized parallel writers under
 /// every non-collective mode, one parallel job per mode.
-pub fn mode_ablation(
-    machine: &MachineConfig,
-    nodes: u32,
-    per_node: u32,
-    bytes: u64,
-) -> Vec<ModeRow> {
-    mode_ablation_jobs(machine, nodes, per_node, bytes, runner::configured_jobs())
-}
-
-/// [`mode_ablation`] with an explicit worker count.
 pub fn mode_ablation_jobs(
     machine: &MachineConfig,
     nodes: u32,
@@ -357,11 +335,6 @@ pub struct PolicyRow {
 /// Run the policy matrix (A2): four access patterns × three policies, one
 /// parallel job per cell. The paper's thesis (§8/§10): no single policy
 /// wins everywhere.
-pub fn policy_matrix(machine: &MachineConfig) -> Vec<PolicyRow> {
-    policy_matrix_jobs(machine, runner::configured_jobs())
-}
-
-/// [`policy_matrix`] with an explicit worker count.
 pub fn policy_matrix_jobs(machine: &MachineConfig, jobs: usize) -> Vec<PolicyRow> {
     let kernels: Vec<(&'static str, sio_apps::Workload)> = vec![
         (
@@ -413,13 +386,8 @@ pub struct QueueRow {
 ///
 /// The kernel issues explicit-offset reads (no seek calls, so nothing
 /// throttles the burst) from many nodes against a machine with only two I/O
-/// nodes — deep queues are exactly where the discipline matters.
-pub fn queue_discipline(machine: &MachineConfig, nodes: u32) -> Vec<QueueRow> {
-    queue_discipline_jobs(machine, nodes, runner::configured_jobs())
-}
-
-/// [`queue_discipline`] with an explicit worker count (one job per
-/// discipline).
+/// nodes — deep queues are exactly where the discipline matters. One job
+/// per discipline.
 pub fn queue_discipline_jobs(machine: &MachineConfig, nodes: u32, jobs: usize) -> Vec<QueueRow> {
     use paragon_sim::program::{IoRequest, ScriptOp};
     use rand::rngs::StdRng;
@@ -486,11 +454,6 @@ pub struct ScaleRow {
 }
 
 /// Run the ESCAT weak-scaling sweep (S1), one parallel job per node count.
-pub fn escat_scaling(machine: &MachineConfig, node_counts: &[u32]) -> Vec<ScaleRow> {
-    escat_scaling_jobs(machine, node_counts, runner::configured_jobs())
-}
-
-/// [`escat_scaling`] with an explicit worker count.
 pub fn escat_scaling_jobs(
     machine: &MachineConfig,
     node_counts: &[u32],
@@ -533,15 +496,6 @@ pub struct GrowthRow {
 }
 
 /// Run the quadrature-growth sweep (S2), one parallel job per scale.
-pub fn escat_growth(
-    machine: &MachineConfig,
-    params: &EscatParams,
-    scales: &[u32],
-) -> Vec<GrowthRow> {
-    escat_growth_jobs(machine, params, scales, runner::configured_jobs())
-}
-
-/// [`escat_growth`] with an explicit worker count.
 pub fn escat_growth_jobs(
     machine: &MachineConfig,
     params: &EscatParams,
@@ -590,20 +544,6 @@ impl MixRow {
     }
 }
 
-/// Run the workload-mix experiment (M1): ESCAT and HTF-pscf side by side on
-/// one machine, sharing the metadata server and I/O nodes.
-/// Mix ESCAT and HTF-pscf on machines with the full and a constrained
-/// I/O-node count. At the CCSF configuration (16 I/O nodes) the arrays
-/// have headroom and interference is mild; constraining the I/O nodes puts
-/// the mix into the contention regime.
-pub fn workload_mix(
-    machine: &MachineConfig,
-    escat_params: &EscatParams,
-    htf_params: &HtfParams,
-) -> Vec<MixRow> {
-    workload_mix_jobs(machine, escat_params, htf_params, runner::configured_jobs())
-}
-
 /// Which simulation a mix job runs.
 #[derive(Debug, Clone, Copy)]
 enum MixTask {
@@ -612,7 +552,11 @@ enum MixTask {
     Mixed,
 }
 
-/// [`workload_mix`] with an explicit worker count. The two I/O-node
+/// Run the workload-mix experiment (M1): ESCAT and HTF-pscf side by side,
+/// sharing the metadata server and I/O nodes, on machines with the full and
+/// a constrained I/O-node count. At the CCSF configuration (16 I/O nodes)
+/// the arrays have headroom and interference is mild; constraining the I/O
+/// nodes puts the mix into the contention regime. The two I/O-node
 /// configurations × (two isolated runs + one mixed run) flatten into six
 /// independent jobs.
 pub fn workload_mix_jobs(
@@ -698,13 +642,8 @@ pub struct TwoLevelRow {
     pub server_hits: u64,
 }
 
-/// Run the two-level buffering experiment (B1).
-pub fn two_level_buffering(machine: &MachineConfig, nodes: u32) -> Vec<TwoLevelRow> {
-    two_level_buffering_jobs(machine, nodes, runner::configured_jobs())
-}
-
-/// [`two_level_buffering`] with an explicit worker count (one job per
-/// server-cache configuration).
+/// Run the two-level buffering experiment (B1), one job per server-cache
+/// configuration.
 pub fn two_level_buffering_jobs(
     machine: &MachineConfig,
     nodes: u32,
@@ -763,13 +702,8 @@ pub struct RaidRow {
     pub read_secs: f64,
 }
 
-/// Run the RAID degraded-mode experiment (A4).
-pub fn raid_degraded(machine: &MachineConfig) -> Vec<RaidRow> {
-    raid_degraded_jobs(machine, runner::configured_jobs())
-}
-
-/// [`raid_degraded`] with an explicit worker count (healthy and degraded
-/// runs in parallel).
+/// Run the RAID degraded-mode experiment (A4), healthy and degraded runs
+/// in parallel.
 pub fn raid_degraded_jobs(machine: &MachineConfig, jobs: usize) -> Vec<RaidRow> {
     use paragon_sim::mesh::Mesh;
     use paragon_sim::program::{NodeProgram, ScriptProgram};
@@ -907,20 +841,10 @@ pub fn fault_scenario_schedule(
     Some(s)
 }
 
-/// Run the fault-injection suite (X4): ESCAT, RENDER, and HTF-pscf on PFS
-/// under every canned scenario, plus ESCAT on PPFS write-behind under a
-/// crash (the dirty-data exposure case).
-pub fn fault_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-) -> Vec<FaultRow> {
-    fault_suite_jobs(machine, escat, render, htf, runner::configured_jobs())
-}
-
-/// [`fault_suite`] with an explicit worker count (one job per cell; rows
-/// come back in canonical order and are worker-count invariant).
+/// Run the fault-injection suite (X4) on `jobs` workers: ESCAT, RENDER, and
+/// HTF-pscf on PFS under every canned scenario, plus ESCAT on PPFS
+/// write-behind under a crash (the dirty-data exposure case). One job per
+/// cell; rows come back in canonical order and are worker-count invariant.
 ///
 /// Two fan-out phases: the healthy baselines run first (they are the
 /// suite's `healthy` rows *and* supply each workload's wall time), then
@@ -936,15 +860,13 @@ pub fn fault_suite_jobs(
     const WORKLOADS: [&str; 4] = ["escat", "render", "htf-pscf", "escat-wb"];
     const PFS_FAULTED: [&str; 4] = ["degraded", "rebuild", "stalls", "crash"];
 
+    let apps = Apps { escat, render, htf };
     let run_cell = |wname: &str, scenario: &str, schedule: Option<&FaultSchedule>| {
-        let (workload, backend) = match wname {
-            "escat" => (escat.workload(), Backend::Pfs),
-            "render" => (render.workload(), Backend::Pfs),
-            "htf-pscf" => (htf.pscf_workload(), Backend::Pfs),
-            "escat-wb" => (escat.workload(), Backend::Ppfs(PolicyConfig::escat_tuned())),
-            other => panic!("unknown fault workload '{other}'"),
+        let (app, backend) = match wname {
+            "escat-wb" => ("escat", Backend::Ppfs(PolicyConfig::escat_tuned())),
+            app => (app, Backend::Pfs),
         };
-        let out = run_workload_with_faults(machine, &workload, &backend, schedule);
+        let out = run_workload_with_faults(machine, &apps.plain(app), &backend, schedule);
         let t = OpTable::from_trace(&out.trace);
         let pf = out.pfs_faults.unwrap_or_default();
         let ps = out.ppfs_stats.unwrap_or_default();
@@ -968,11 +890,7 @@ pub fn fault_suite_jobs(
     };
 
     // Phase 1: healthy baselines.
-    let healthy = runner::par_map_jobs(jobs, WORKLOADS.to_vec(), |_, wname| {
-        run_cell(wname, "healthy", None)
-    });
-    let wall_of =
-        |wname: &str| -> SimTime { healthy[WORKLOADS.iter().position(|w| *w == wname).unwrap()].1 };
+    let healthy = Stage::run(jobs, WORKLOADS, |wname| run_cell(wname, "healthy", None));
 
     // Phase 2: faulted cells, schedules scaled to the healthy wall.
     let mut cases: Vec<(&str, &str)> = Vec::new();
@@ -990,7 +908,7 @@ pub fn fault_suite_jobs(
             scenario
         };
         let schedule =
-            fault_scenario_schedule(sname, machine.io_nodes, machine.seed, wall_of(wname));
+            fault_scenario_schedule(sname, machine.io_nodes, machine.seed, healthy.get(&wname).1);
         run_cell(wname, scenario, schedule.as_ref()).0
     });
 
@@ -999,15 +917,15 @@ pub fn fault_suite_jobs(
     let mut by_case: std::collections::HashMap<(&str, &str), FaultRow> =
         cases.iter().copied().zip(faulted).collect();
     let mut rows = Vec::with_capacity(WORKLOADS.len() + by_case.len());
-    for (i, wname) in WORKLOADS.iter().enumerate() {
-        rows.push(healthy[i].0.clone());
-        let scenarios: &[&str] = if *wname == "escat-wb" {
+    for wname in WORKLOADS {
+        rows.push(healthy.get(&wname).0.clone());
+        let scenarios: &[&str] = if wname == "escat-wb" {
             &["crash"]
         } else {
             &PFS_FAULTED
         };
         for s in scenarios {
-            rows.push(by_case.remove(&(*wname, *s)).expect("cell ran"));
+            rows.push(by_case.remove(&(wname, *s)).expect("cell ran"));
         }
     }
     rows
@@ -1059,27 +977,11 @@ fn cio_cases(scales: &[u32]) -> Vec<(&'static str, u32, &'static str)> {
 /// staging, HTF pint) are where two-phase aggregation pays; RENDER's
 /// gateway-funneled I/O is the control — its singleton collectives buy
 /// nothing.
-pub fn cio_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    scales: &[u32],
-) -> Vec<CioRow> {
-    cio_suite_jobs(
-        machine,
-        escat,
-        render,
-        htf,
-        scales,
-        runner::configured_jobs(),
-    )
-}
-
-/// [`cio_suite`] with an explicit worker count (one job per cell; rows come
-/// back in canonical order and are worker-count invariant). Each scale
-/// reuses the given params with the node count overridden, so the per-node
-/// work shape stays fixed while membership grows.
+///
+/// One job per cell; rows come back in canonical order and are
+/// worker-count invariant. Each scale reuses the given params with the node
+/// count overridden, so the per-node work shape stays fixed while
+/// membership grows.
 pub fn cio_suite_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
@@ -1205,7 +1107,7 @@ mod tests {
 
     #[test]
     fn mode_ablation_ranks_coordination_costs() {
-        let rows = mode_ablation(&tiny(), 4, 4, 2048);
+        let rows = mode_ablation_jobs(&tiny(), 4, 4, 2048, runner::configured_jobs());
         assert_eq!(rows.len(), 5);
         let get = |m: AccessMode| rows.iter().find(|r| r.mode == m).unwrap().write_secs;
         // M_SYNC writes block for their node-order turn, so their measured
@@ -1218,7 +1120,7 @@ mod tests {
 
     #[test]
     fn policy_matrix_shows_no_single_winner() {
-        let rows = policy_matrix(&tiny());
+        let rows = policy_matrix_jobs(&tiny(), runner::configured_jobs());
         assert_eq!(rows.len(), 12);
         let time = |k: &str, p: &str| {
             rows.iter()
@@ -1235,7 +1137,7 @@ mod tests {
 
     #[test]
     fn queue_discipline_cscan_and_sstf_not_worse() {
-        let rows = queue_discipline(&tiny(), 4);
+        let rows = queue_discipline_jobs(&tiny(), 4, runner::configured_jobs());
         assert_eq!(rows.len(), 3);
         assert!(rows[1].wall_secs <= rows[0].wall_secs * 1.02, "cscan");
         assert!(rows[2].wall_secs <= rows[0].wall_secs * 1.02, "sstf");
@@ -1245,7 +1147,7 @@ mod tests {
     fn escat_scaling_io_grows_superlinearly() {
         let mut m = tiny();
         m.compute_nodes = 16;
-        let rows = escat_scaling(&m, &[4, 16]);
+        let rows = escat_scaling_jobs(&m, &[4, 16], runner::configured_jobs());
         assert_eq!(rows.len(), 2);
         // 4x the nodes, same per-node work: I/O node time grows by more
         // than 4x (serialized shared-file operations).
@@ -1255,7 +1157,12 @@ mod tests {
 
     #[test]
     fn escat_growth_shifts_share_to_io() {
-        let rows = escat_growth(&tiny(), &EscatParams::small(4, 5), &[1, 16]);
+        let rows = escat_growth_jobs(
+            &tiny(),
+            &EscatParams::small(4, 5),
+            &[1, 16],
+            runner::configured_jobs(),
+        );
         assert_eq!(rows.len(), 2);
         assert!(rows[1].write_volume > rows[0].write_volume * 10);
         assert!(
@@ -1266,7 +1173,12 @@ mod tests {
 
     #[test]
     fn workload_mix_shows_interference() {
-        let rows = workload_mix(&tiny(), &EscatParams::small(4, 5), &HtfParams::small(4));
+        let rows = workload_mix_jobs(
+            &tiny(),
+            &EscatParams::small(4, 5),
+            &HtfParams::small(4),
+            runner::configured_jobs(),
+        );
         assert_eq!(rows.len(), 4);
         // At least one application pays for the contention.
         assert!(
@@ -1277,7 +1189,7 @@ mod tests {
 
     #[test]
     fn two_level_buffering_helps_later_readers() {
-        let rows = two_level_buffering(&tiny(), 4);
+        let rows = two_level_buffering_jobs(&tiny(), 4, runner::configured_jobs());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].server_hits, 0);
         assert!(rows[1].server_hits >= 16, "hits {}", rows[1].server_hits);
@@ -1291,11 +1203,12 @@ mod tests {
 
     #[test]
     fn fault_suite_small_is_clean_and_ordered() {
-        let rows = fault_suite(
+        let rows = fault_suite_jobs(
             &tiny(),
             &EscatParams::small(4, 4),
             &RenderParams::small(4, 2),
             &HtfParams::small(4),
+            runner::configured_jobs(),
         );
         assert_eq!(rows.len(), 17);
         let get = |w: &str, s: &str| -> &FaultRow {
@@ -1327,19 +1240,20 @@ mod tests {
 
     #[test]
     fn raid_degraded_costs_more() {
-        let rows = raid_degraded(&tiny());
+        let rows = raid_degraded_jobs(&tiny(), runner::configured_jobs());
         assert!(rows[1].read_secs > rows[0].read_secs);
     }
 
     #[test]
     fn cio_suite_small_shows_aggregation_on_interleaved_writes() {
         let m = MachineConfig::tiny(8, 4);
-        let rows = cio_suite(
+        let rows = cio_suite_jobs(
             &m,
             &EscatParams::small(8, 4),
             &RenderParams::small(8, 2),
             &HtfParams::small(8),
             &[4, 8],
+            runner::configured_jobs(),
         );
         // 3 workloads x 2 scales x 3 backends, canonical order.
         assert_eq!(rows.len(), 18);

@@ -20,6 +20,9 @@
 //!   sweeps composing disk, node, link, and metadata faults across every
 //!   registered backend, with per-cell liveness, typed-fault,
 //!   byte-conservation, durable-cut, and trace invariants;
+//! * `cells` (private) — what the crash suites share: the app catalogue,
+//!   the first-occurrence baseline stage, and the one crash → durable cut
+//!   → resume path;
 //! * [`runner`] — the parallel sweep executor: every experiment sweep
 //!   fans its independent, deterministic simulations out over a bounded
 //!   worker pool (`--jobs N` / `SIO_JOBS`), with results in input order;
@@ -29,6 +32,7 @@
 //! regenerates every artifact into `results/`.
 
 pub mod burst;
+mod cells;
 pub mod chaos;
 pub mod characterize;
 pub mod compare;

@@ -13,11 +13,12 @@
 //! Everything is a pure function of the configuration: the suite is
 //! worker-count invariant and golden-digested (`results/golden_recover.txt`).
 
+use crate::cells::{run_checkpointed, Apps, Stage};
 use crate::runner;
 use paragon_sim::{FaultSchedule, MachineConfig, SimTime};
 use sio_apps::checkpoint::CheckpointPlan;
-use sio_apps::workload::{run_workload, run_workload_crashable, Backend};
-use sio_apps::{CheckpointedWorkload, EscatParams, HtfParams, RenderParams};
+use sio_apps::workload::{run_workload, Backend};
+use sio_apps::{EscatParams, HtfParams, RenderParams};
 use sio_core::checkpoint::CheckpointStore;
 use sio_core::event::NS_PER_SEC;
 use sio_core::{IoEvent, IoOp, Trace};
@@ -81,56 +82,18 @@ pub fn durable_cut(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
-    assert_eq!(
-        units.len(),
-        plan.nodes as usize,
-        "one unit count per writer"
-    );
-    let mut store = CheckpointStore::new();
-    let slots = plan.slot_names();
-    let (mut valid, mut torn) = (0u32, 0u32);
-    let mut committed = vec![0u32; plan.nodes as usize];
-    for n in 0..plan.nodes {
-        let (writes, syncs) = commit_events(trace, plan, n);
-        for (j, w) in writes.iter().enumerate() {
-            let slot_idx = w.offset / plan.record_bytes;
-            let epoch = ((slot_idx - n as u64) / plan.nodes as u64) as u32 + 1;
-            let full = plan.image(n, epoch).encode();
-            let bytes = if j < syncs.len() {
-                full.clone()
-            } else {
-                // Unsynced: the write-behind path may have persisted only a
-                // prefix by the crash instant.
-                let span = (w.end - w.start).max(1);
-                let elapsed = crash.nanos().saturating_sub(w.start);
-                let len = ((full.len() as u64).saturating_mul(elapsed) / (2 * span))
-                    .min(full.len() as u64 - 1) as usize;
-                full[..len].to_vec()
-            };
-            match store.try_commit(&slots[n as usize], &bytes) {
-                Ok(e) => {
-                    committed[n as usize] = e;
-                    valid += 1;
-                }
-                Err(_) => torn += 1,
-            }
+    walk_commits(trace, plan, units, |w, synced, full| {
+        if synced {
+            return Some(full);
         }
-    }
-    let epoch = (0..plan.nodes as usize)
-        .map(|n| {
-            if committed[n] >= final_boundary(units[n], plan.interval) {
-                plan.epochs
-            } else {
-                committed[n]
-            }
-        })
-        .min()
-        .unwrap_or(0);
-    DurableCut {
-        epoch,
-        commits_valid: valid,
-        commits_torn: torn,
-    }
+        // Unsynced: the write-behind path may have persisted only a
+        // prefix by the crash instant.
+        let span = (w.end - w.start).max(1);
+        let elapsed = crash.nanos().saturating_sub(w.start);
+        let len = ((full.len() as u64).saturating_mul(elapsed) / (2 * span))
+            .min(full.len() as u64 - 1) as usize;
+        Some(full[..len].to_vec())
+    })
 }
 
 /// Derive the durable epoch from a crashed run under the **burst-log
@@ -149,6 +112,27 @@ pub fn durable_cut_logged(
     units: &[u32],
     crash: SimTime,
 ) -> DurableCut {
+    // Appends that completed by the crash are whole frames; a crashed
+    // engine abandons later completions, so anything else never made the
+    // trace.
+    walk_commits(trace, plan, units, |w, _, full| {
+        (w.end <= crash.nanos()).then_some(full)
+    })
+}
+
+/// The durable-cut walk both cut rules share. Per writer, every completed
+/// checkpoint-file write is reconstructed as its encoded image and handed
+/// to `on_media` with whether its sync completed; what that returns is
+/// committed to the writer's slot (`None` = nothing reached the media, a
+/// torn commit). The global cut is the minimum committed epoch across
+/// writers, with writers that committed their own final boundary treated
+/// as complete.
+fn walk_commits(
+    trace: &Trace,
+    plan: &CheckpointPlan,
+    units: &[u32],
+    on_media: impl Fn(&IoEvent, bool, Vec<u8>) -> Option<Vec<u8>>,
+) -> DurableCut {
     assert_eq!(
         units.len(),
         plan.nodes as usize,
@@ -159,19 +143,16 @@ pub fn durable_cut_logged(
     let (mut valid, mut torn) = (0u32, 0u32);
     let mut committed = vec![0u32; plan.nodes as usize];
     for n in 0..plan.nodes {
-        let (writes, _) = commit_events(trace, plan, n);
-        for w in writes {
+        let (writes, syncs) = commit_events(trace, plan, n);
+        for (j, w) in writes.iter().enumerate() {
             let slot_idx = w.offset / plan.record_bytes;
             let epoch = ((slot_idx - n as u64) / plan.nodes as u64) as u32 + 1;
             let full = plan.image(n, epoch).encode();
-            // Appends that completed by the crash are whole frames; a
-            // crashed engine abandons later completions, so anything else
-            // never made the trace.
-            if w.end > crash.nanos() {
+            let Some(bytes) = on_media(w, j < syncs.len(), full) else {
                 torn += 1;
                 continue;
-            }
-            match store.try_commit(&slots[n as usize], &full) {
+            };
+            match store.try_commit(&slots[n as usize], &bytes) {
                 Ok(e) => {
                     committed[n as usize] = e;
                     valid += 1;
@@ -314,49 +295,26 @@ fn intervals_for(units: u32, wname: &str) -> Vec<u32> {
     }
 }
 
-/// Run the X5 recovery suite with [`runner::configured_jobs`] workers.
-pub fn recover_suite(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-) -> Vec<RecoverRow> {
-    recover_suite_jobs(machine, escat, render, htf, runner::configured_jobs())
-}
-
-/// [`recover_suite`] with an explicit worker count and the canned scenario
-/// set.
-pub fn recover_suite_jobs(
-    machine: &MachineConfig,
-    escat: &EscatParams,
-    render: &RenderParams,
-    htf: &HtfParams,
-    jobs: usize,
-) -> Vec<RecoverRow> {
-    let scenarios: Vec<String> = SCENARIOS.iter().map(|s| s.to_string()).collect();
-    recover_suite_scenarios_jobs(machine, escat, render, htf, &scenarios, jobs)
-}
-
-/// The full suite driver. Three fan-out phases: plain healthy walls (the
-/// overhead baseline), checkpointed healthy walls (the crash-fraction
-/// basis and rerun baseline), then every crash-and-resume cell. Rows come
-/// back in canonical order — workload × interval × scenario — and are
-/// worker-count invariant.
+/// Run the X5 recovery suite on `jobs` workers. `crash_frac` replaces the
+/// canned scenarios with one `crash@F` cell (`repro recover --crash-frac`).
+///
+/// Three fan-out phases: plain healthy walls (the overhead baseline),
+/// checkpointed healthy walls (the crash-fraction basis and rerun
+/// baseline), then every crash-and-resume cell. Rows come back in
+/// canonical order — workload × interval × scenario — and are worker-count
+/// invariant.
 pub fn recover_suite_scenarios_jobs(
     machine: &MachineConfig,
     escat: &EscatParams,
     render: &RenderParams,
     htf: &HtfParams,
-    scenarios: &[String],
+    crash_frac: Option<f64>,
     jobs: usize,
 ) -> Vec<RecoverRow> {
-    let build = |wname: &str, interval: u32, epoch: u32| -> CheckpointedWorkload {
-        match wname {
-            "escat" => escat.workload_checkpointed(interval, epoch),
-            "htf-pargos" => htf.pargos_workload_checkpointed(interval, epoch),
-            "render" => render.workload_checkpointed(interval, epoch),
-            other => panic!("unknown recover workload '{other}'"),
-        }
+    let apps = Apps { escat, render, htf };
+    let scenarios: Vec<String> = match crash_frac {
+        Some(f) => vec![format!("crash@{f}")],
+        None => SCENARIOS.iter().map(|s| s.to_string()).collect(),
     };
     let backend_of = |wname: &str| -> Backend {
         match wname {
@@ -364,100 +322,59 @@ pub fn recover_suite_scenarios_jobs(
             _ => Backend::Pfs,
         }
     };
-    let units_of = |wname: &str| -> Vec<u32> {
-        match wname {
-            "escat" => vec![escat.iters; escat.nodes as usize],
-            "htf-pargos" => (0..htf.nodes).map(|n| htf.records_of(n)).collect(),
-            "render" => vec![render.frames],
-            other => panic!("unknown recover workload '{other}'"),
-        }
-    };
-    let plain_of = |wname: &str| match wname {
-        "escat" => escat.workload(),
-        "htf-pargos" => htf.pargos_workload(),
-        "render" => render.workload(),
-        other => panic!("unknown recover workload '{other}'"),
-    };
 
     let mut cells: Vec<(&str, u32)> = Vec::new();
     for w in WORKLOADS {
-        let units = units_of(w)[0];
-        for iv in intervals_for(units, w) {
+        for iv in intervals_for(apps.units(w)[0], w) {
             cells.push((w, iv));
         }
     }
 
     // Phase 1: uncheckpointed healthy walls (overhead baseline).
-    let plain_walls = runner::par_map_jobs(jobs, WORKLOADS.to_vec(), |_, wname| {
-        run_workload(machine, &plain_of(wname), &backend_of(wname)).wall_secs()
+    let plain_walls = Stage::run(jobs, WORKLOADS, |wname| {
+        run_workload(machine, &apps.plain(wname), &backend_of(wname)).wall_secs()
     });
-    let plain_wall = |wname: &str| plain_walls[WORKLOADS.iter().position(|w| *w == wname).unwrap()];
 
     // Phase 2: checkpointed healthy walls per (workload, interval) cell.
-    let ckpt_walls = runner::par_map_jobs(jobs, cells.clone(), |_, (wname, iv)| {
-        let cw = build(wname, iv, 0);
-        let out = run_workload_crashable(
-            machine,
-            &cw.workload,
-            &backend_of(wname),
-            None,
-            None,
-            &cw.plan.covered,
-        );
-        out.report.wall
+    let ckpt_walls = Stage::run(jobs, cells.iter().copied(), |(wname, iv)| {
+        let cw = apps.checkpointed(wname, iv, 0);
+        run_checkpointed(machine, &cw, &backend_of(wname), None, None)
+            .report
+            .wall
     });
-    let ckpt_wall = |wname: &str, iv: u32| -> SimTime {
-        ckpt_walls[cells.iter().position(|c| *c == (wname, iv)).unwrap()]
-    };
 
     // Phase 3: crash, derive the durable cut, resume.
     let mut cases: Vec<((&str, u32), String)> = Vec::new();
-    for &(w, iv) in &cells {
-        for s in scenarios {
-            cases.push(((w, iv), s.clone()));
+    for &cell in &cells {
+        for s in &scenarios {
+            cases.push((cell, s.clone()));
         }
     }
     runner::par_map_jobs(jobs, cases, |_, ((wname, iv), scenario)| {
-        let backend = backend_of(wname);
-        let units = units_of(wname);
-        let wall = ckpt_wall(wname, iv);
+        let wall = *ckpt_walls.get(&(wname, iv));
         let (frac, io_faults) = recover_scenario(&scenario, wall);
         let t_crash = SimTime((wall.nanos() as f64 * frac) as u64);
-
-        let cw = build(wname, iv, 0);
-        let crashed = run_workload_crashable(
+        let run = apps.crash_and_resume(
             machine,
-            &cw.workload,
-            &backend,
+            wname,
+            iv,
+            &backend_of(wname),
             io_faults.as_ref(),
-            Some(t_crash),
-            &cw.plan.covered,
-        );
-        let cut = durable_cut(&crashed.trace, &cw.plan, &units, t_crash);
-        let lost = lost_work_bytes(&crashed.trace, &cw.plan, &units, cut.epoch);
-
-        let resumed = build(wname, iv, cut.epoch);
-        let out = run_workload_crashable(
-            machine,
-            &resumed.workload,
-            &backend,
-            None,
-            None,
-            &resumed.plan.covered,
+            t_crash,
         );
 
         let ckpt_secs = wall.nanos() as f64 / NS_PER_SEC;
         let crash_secs = t_crash.nanos() as f64 / NS_PER_SEC;
-        let recovery_secs = out.report.wall.nanos() as f64 / NS_PER_SEC;
-        let plain = plain_wall(wname);
+        let recovery_secs = run.resumed.report.wall.nanos() as f64 / NS_PER_SEC;
+        let plain = *plain_walls.get(&wname);
         RecoverRow {
             workload: wname.to_string(),
             interval: iv,
             scenario,
-            durable_epoch: cut.epoch,
-            epochs: cw.plan.epochs,
-            commits_valid: cut.commits_valid,
-            commits_torn: cut.commits_torn,
+            durable_epoch: run.cut.epoch,
+            epochs: run.epochs,
+            commits_valid: run.cut.commits_valid,
+            commits_torn: run.cut.commits_torn,
             ckpt_wall_secs: ckpt_secs,
             overhead_pct: (ckpt_secs - plain) / plain.max(f64::EPSILON) * 100.0,
             crash_secs,
@@ -465,8 +382,9 @@ pub fn recover_suite_scenarios_jobs(
             total_secs: crash_secs + recovery_secs,
             rerun_secs: crash_secs + ckpt_secs,
             saved_secs: ckpt_secs - recovery_secs,
-            lost_work_mb: lost as f64 / 1e6,
-            dirty_lost_ckpt: crashed
+            lost_work_mb: run.lost_bytes as f64 / 1e6,
+            dirty_lost_ckpt: run
+                .crashed
                 .ppfs_stats
                 .map(|s| s.dirty_bytes_lost_checkpointed)
                 .unwrap_or(0),
@@ -478,6 +396,7 @@ pub fn recover_suite_scenarios_jobs(
 mod tests {
     use super::*;
     use paragon_sim::MachineConfig;
+    use sio_apps::workload::run_workload_crashable;
 
     #[test]
     fn durable_cut_of_healthy_full_run_is_final_epoch() {

@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, Criterion};
 use sio_analysis::experiments;
+use sio_analysis::runner::configured_jobs;
 use sio_apps::EscatParams;
 use sio_bench::{bench_machine, small_machine};
 use std::hint::black_box;
@@ -30,7 +31,13 @@ fn a1_modes(c: &mut Criterion) {
     let machine = small_machine();
     c.bench_function("a1_access_mode_matrix", |b| {
         b.iter(|| {
-            let rows = experiments::mode_ablation(black_box(&machine), 16, 8, 2048);
+            let rows = experiments::mode_ablation_jobs(
+                black_box(&machine),
+                16,
+                8,
+                2048,
+                configured_jobs(),
+            );
             assert_eq!(rows.len(), 5);
             black_box(rows.iter().map(|r| r.wall_secs).sum::<f64>())
         })
@@ -41,7 +48,7 @@ fn a2_policy_matrix(c: &mut Criterion) {
     let machine = small_machine();
     c.bench_function("a2_policy_matrix", |b| {
         b.iter(|| {
-            let rows = experiments::policy_matrix(black_box(&machine));
+            let rows = experiments::policy_matrix_jobs(black_box(&machine), configured_jobs());
             assert_eq!(rows.len(), 12);
             black_box(rows.iter().map(|r| r.read_secs).sum::<f64>())
         })
@@ -52,7 +59,8 @@ fn a3_queue_discipline(c: &mut Criterion) {
     let machine = small_machine();
     c.bench_function("a3_queue_discipline", |b| {
         b.iter(|| {
-            let rows = experiments::queue_discipline(black_box(&machine), 16);
+            let rows =
+                experiments::queue_discipline_jobs(black_box(&machine), 16, configured_jobs());
             assert!(rows[1].wall_secs <= rows[0].wall_secs * 1.02);
             black_box(rows[0].wall_secs)
         })
@@ -63,7 +71,7 @@ fn a4_raid_degraded(c: &mut Criterion) {
     let machine = small_machine();
     c.bench_function("a4_raid_degraded", |b| {
         b.iter(|| {
-            let rows = experiments::raid_degraded(black_box(&machine));
+            let rows = experiments::raid_degraded_jobs(black_box(&machine), configured_jobs());
             assert!(rows[1].read_secs > rows[0].read_secs);
             black_box(rows[1].read_secs)
         })

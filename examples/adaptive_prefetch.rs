@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --release --example adaptive_prefetch`
 
-use sio::analysis::experiments::policy_matrix;
+use sio::analysis::experiments::policy_matrix_jobs;
+use sio::analysis::runner;
 use sio::apps::workload::{run_workload, sequential_read_kernel, Backend};
 use sio::paragon::MachineConfig;
 use sio::pfs::AccessMode;
@@ -16,7 +17,7 @@ fn main() {
     let machine = MachineConfig::tiny(8, 4);
 
     println!("pattern x policy matrix (total read node time, lower is better):\n");
-    let rows = policy_matrix(&machine);
+    let rows = policy_matrix_jobs(&machine, runner::configured_jobs());
     println!(
         "{:<12} {:>12} {:>12} {:>12}",
         "pattern", "none", "readahead4", "adaptive4"

@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release --example mode_explorer`
 
-use sio::analysis::experiments::mode_ablation;
+use sio::analysis::experiments::mode_ablation_jobs;
+use sio::analysis::runner;
 use sio::apps::workload::{run_workload, sequential_read_kernel, Backend};
 use sio::paragon::MachineConfig;
 use sio::pfs::AccessMode;
@@ -20,7 +21,7 @@ fn main() {
         "{:<10} {:>14} {:>12}   semantics",
         "mode", "write time", "wall"
     );
-    for row in mode_ablation(&machine, 16, 8, 2048) {
+    for row in mode_ablation_jobs(&machine, 16, 8, 2048, runner::configured_jobs()) {
         let semantics = match row.mode {
             AccessMode::MUnix => "independent ptr; atomic writes serialize",
             AccessMode::MLog => "shared ptr, FCFS token",

@@ -7,14 +7,20 @@
 //!
 //! Run with: `cargo run --release --example workload_mix`
 
-use sio::analysis::experiments::workload_mix;
+use sio::analysis::experiments::workload_mix_jobs;
+use sio::analysis::runner;
 use sio::apps::{EscatParams, HtfParams};
 use sio::paragon::MachineConfig;
 
 fn main() {
     let machine = MachineConfig::paragon_128();
     println!("mixing ESCAT (128 nodes) with HTF-pscf (128 nodes) on shared I/O nodes...\n");
-    let rows = workload_mix(&machine, &EscatParams::paper(), &HtfParams::paper());
+    let rows = workload_mix_jobs(
+        &machine,
+        &EscatParams::paper(),
+        &HtfParams::paper(),
+        runner::configured_jobs(),
+    );
     println!(
         "{:<10} {:>10} {:>14} {:>12} {:>10}",
         "app", "I/O nodes", "isolated (s)", "mixed (s)", "inflation"

@@ -48,11 +48,13 @@ fn canonical(r: &BlogRow) -> String {
 #[test]
 fn blog_suite_matches_goldens_and_headline_claims() {
     let machine = MachineConfig::paragon_128();
-    let rows = burst::blog_suite_jobs(
+    let rows = burst::blog_suite_overrides_jobs(
         &machine,
         &EscatParams::paper(),
         &RenderParams::paper(),
         &HtfParams::paper(),
+        None,
+        None,
         sio::analysis::runner::configured_jobs(),
     );
     assert_eq!(rows.len(), 15, "suite shape changed; goldens need review");

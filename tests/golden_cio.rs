@@ -39,12 +39,13 @@ fn canonical(r: &CioRow) -> String {
 #[test]
 fn cio_suite_matches_goldens_and_headline_claims() {
     let machine = MachineConfig::paragon_128();
-    let rows = experiments::cio_suite(
+    let rows = experiments::cio_suite_jobs(
         &machine,
         &EscatParams::paper(),
         &RenderParams::paper(),
         &HtfParams::paper(),
         &[64, 128],
+        sio::analysis::runner::configured_jobs(),
     );
     assert_eq!(rows.len(), 18, "suite shape changed; goldens need review");
 

@@ -38,11 +38,12 @@ fn canonical(r: &FaultRow) -> String {
 #[test]
 fn fault_suite_matches_goldens() {
     let machine = MachineConfig::paragon_128();
-    let rows = experiments::fault_suite(
+    let rows = experiments::fault_suite_jobs(
         &machine,
         &EscatParams::paper(),
         &RenderParams::paper(),
         &HtfParams::paper(),
+        sio::analysis::runner::configured_jobs(),
     );
     assert_eq!(rows.len(), 17, "suite shape changed; goldens need review");
     let computed: Vec<(String, u64)> = rows

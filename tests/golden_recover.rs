@@ -39,11 +39,13 @@ fn canonical(r: &RecoverRow) -> String {
 #[test]
 fn recover_suite_matches_goldens() {
     let machine = MachineConfig::paragon_128();
-    let rows = recovery::recover_suite(
+    let rows = recovery::recover_suite_scenarios_jobs(
         &machine,
         &EscatParams::paper(),
         &RenderParams::paper(),
         &HtfParams::paper(),
+        None,
+        sio::analysis::runner::configured_jobs(),
     );
     assert_eq!(rows.len(), 15, "suite shape changed; goldens need review");
     let computed: Vec<(String, u64)> = rows

@@ -113,7 +113,7 @@ fn recover_suite_is_worker_count_invariant() {
     let rp = RenderParams::small(4, 2);
     let hp = HtfParams::small(4);
     assert_jobs_invariant("recover_suite", |jobs| {
-        recovery::recover_suite_jobs(&machine, &ep, &rp, &hp, jobs)
+        recovery::recover_suite_scenarios_jobs(&machine, &ep, &rp, &hp, None, jobs)
     });
 }
 

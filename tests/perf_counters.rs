@@ -8,7 +8,7 @@
 //! own test binary, so no other harness shares the process; the one other
 //! test here reads a single engine's counters and never submits.
 
-use sio::analysis::experiments;
+use sio::analysis::{burst, chaos, experiments, recovery};
 use sio::apps::workload::{run_workload, Backend, BackendSpec, Workload, WATCHDOG_DEADLINE};
 use sio::apps::{EscatParams, HtfParams, RenderParams};
 use sio::core::trace::TraceSink;
@@ -68,6 +68,36 @@ fn counters_are_silent_when_disabled_inert_when_enabled_and_jobs_invariant() {
     assert!(runs > 0, "sweep submitted no runs");
     assert!(events > 0, "engine counted no events");
     assert!(heap_peak > 0, "heap peak never observed");
+
+    // Every simulated run counts once, so each crash suite's run count is
+    // pinned: a shared baseline that runs twice, or a cell that stops
+    // running, moves it.
+    let runs_of = |sweep: &dyn Fn()| {
+        perf::reset();
+        sweep();
+        perf::snapshot().counters().0
+    };
+    let faults = runs_of(&|| {
+        sweep(2);
+    });
+    let recover = runs_of(&|| {
+        recovery::recover_suite_scenarios_jobs(&machine, &ep, &rp, &hp, None, 2);
+    });
+    let blog = runs_of(&|| {
+        burst::blog_suite_overrides_jobs(&machine, &ep, &rp, &hp, None, None, 2);
+    });
+    let chaos = runs_of(&|| {
+        chaos::chaos_suite_jobs(&machine, &ep, &rp, &hp, 42, 12, 2);
+    });
+    // faults: 4 healthy baselines + 13 faulted cells. recover: 3 plain
+    // walls + 5 checkpointed walls + 15 crash-and-resume cells x 2 runs.
+    // blog: 13 log-tier + 9 direct baselines + 15 cells x 4 runs. chaos:
+    // 12 distinct workload x backend baselines + 12 cells.
+    assert_eq!(
+        (faults, recover, blog, chaos),
+        (17, 38, 82, 24),
+        "simulated runs per suite (faults, recover, blog, chaos)"
+    );
 
     perf::disable();
     perf::reset();

@@ -149,11 +149,12 @@ fn crashed_escat_run_recovers_on_pfs() {
 #[test]
 fn recover_suite_rows_are_internally_consistent() {
     let machine = MachineConfig::paragon_128();
-    let rows = recovery::recover_suite_jobs(
+    let rows = recovery::recover_suite_scenarios_jobs(
         &machine,
         &EscatParams::paper(),
         &RenderParams::paper(),
         &HtfParams::paper(),
+        None,
         4,
     );
     assert_eq!(rows.len(), 15, "suite shape changed");
