@@ -73,8 +73,40 @@ enum OffsetSpec {
 /// same-direction by construction).
 #[derive(Debug, Default)]
 struct Bucket {
-    writes: Vec<(OffsetSpec, Member)>,
-    reads: Vec<(OffsetSpec, Member)>,
+    writes: Gather,
+    reads: Gather,
+}
+
+/// Members gathered in one direction, with the count of distinct nodes
+/// among them kept current so the trigger check is O(1) per arrival.
+#[derive(Debug, Default)]
+struct Gather {
+    members: Vec<(OffsetSpec, Member)>,
+    /// Bit per node with a member here.
+    seen: Vec<u64>,
+    /// Distinct nodes among `members`.
+    nodes: usize,
+}
+
+impl Gather {
+    fn push(&mut self, spec: OffsetSpec, m: Member) {
+        let (word, bit) = (m.node as usize / 64, 1u64 << (m.node % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.nodes += 1;
+        }
+        self.members.push((spec, m));
+    }
+
+    /// Take every member, leaving the gather empty.
+    fn take(&mut self) -> Vec<(OffsetSpec, Member)> {
+        self.seen.fill(0);
+        self.nodes = 0;
+        std::mem::take(&mut self.members)
+    }
 }
 
 /// A formed collective waiting out its phase-1 exchange delay.
@@ -121,7 +153,9 @@ pub struct Cio {
 /// it as for aggregated write segments on the I/O nodes.
 fn held_writes(exchange: &FastMap<u64, Formed>, gather: &FastMap<u32, Bucket>, file: u32) -> bool {
     exchange.values().any(|x| x.file == file && x.write)
-        || gather.get(&file).is_some_and(|b| !b.writes.is_empty())
+        || gather
+            .get(&file)
+            .is_some_and(|b| !b.writes.members.is_empty())
 }
 
 impl Cio {
@@ -411,23 +445,15 @@ impl Cio {
         let Some(bucket) = self.gather.get_mut(&file) else {
             return;
         };
-        let members = if write {
+        let gather = if write {
             &mut bucket.writes
         } else {
             &mut bucket.reads
         };
-        if members.is_empty() {
+        if gather.members.is_empty() || (!forced && gather.nodes < openers) {
             return;
         }
-        if !forced {
-            let mut nodes: Vec<NodeId> = members.iter().map(|(_, m)| m.node).collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            if nodes.len() < openers {
-                return;
-            }
-        }
-        let taken = std::mem::take(members);
+        let taken = gather.take();
         self.form_collective(file, write, taken, forced, now, sched);
     }
 
@@ -465,12 +491,12 @@ impl Cio {
             bytes: req.bytes,
         };
         let bucket = self.gather.entry(file).or_default();
-        let members = if write {
+        let gather = if write {
             &mut bucket.writes
         } else {
             &mut bucket.reads
         };
-        members.push((spec, m));
+        gather.push(spec, m);
         self.try_trigger(file, write, false, now, sched);
     }
 }
@@ -740,6 +766,76 @@ mod tests {
         let trace = engine.into_service().core.finish_trace();
         // The commit interval is traced and spans the flushed write.
         assert_eq!(trace.of_op(IoOp::Flush).count(), 1);
+    }
+
+    #[test]
+    fn repeated_members_from_one_node_do_not_form_a_collective_early() {
+        // Node 0 gathers two async writes before node 1 arrives: two
+        // members, one distinct node, so the collective must wait for node
+        // 1 and then carry all three members.
+        let s0 = vec![
+            open(0, AccessMode::MUnix),
+            ScriptOp::Barrier(0),
+            ScriptOp::IoAsync(IoRequest::write(0, 4096)),
+            ScriptOp::IoAsync(IoRequest::write(0, 4096)),
+            ScriptOp::WaitAll,
+        ];
+        let s1 = vec![
+            open(0, AccessMode::MUnix),
+            ScriptOp::Barrier(0),
+            ScriptOp::Compute(SimDuration::from_millis(20)),
+            ScriptOp::Io(IoRequest::seek(0, 8192)),
+            ScriptOp::Io(IoRequest::write(0, 4096)),
+        ];
+        let (engine, _) = run_engine(&machine(), vec![FileSpec::output("f")], vec![s0, s1]);
+        let stats = engine.service().cio_stats();
+        assert_eq!((stats.collectives, stats.members), (1, 3));
+        assert_eq!(stats.singletons, 0);
+        let trace = engine.into_service().core.finish_trace();
+        // Node 0 (the lead) carries its two async waits and the exchange.
+        let waits: Vec<_> = trace.of_op(IoOp::IoWait).filter(|e| e.node == 0).collect();
+        assert_eq!(waits.len(), 3);
+        for w in waits {
+            assert!(
+                w.end >= SimDuration::from_millis(20).nanos(),
+                "node 0's write completed before node 1 arrived: {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn forced_flush_resets_the_gather_for_the_next_round() {
+        // Node 0's async write is force-flushed by its own `Sync` while node
+        // 1 computes. Its next write opens a fresh gather that must wait
+        // for node 1 again rather than count node 0 as already present.
+        let s0 = vec![
+            open(0, AccessMode::MUnix),
+            ScriptOp::IoAsync(IoRequest::write(0, 4096)),
+            ScriptOp::Io(IoRequest::sync(0)),
+            ScriptOp::WaitOldest,
+            ScriptOp::Io(IoRequest::write(0, 4096)),
+        ];
+        let s1 = vec![
+            open(0, AccessMode::MUnix),
+            ScriptOp::Compute(SimDuration::from_millis(50)),
+            ScriptOp::Io(IoRequest::seek(0, 8192)),
+            ScriptOp::Io(IoRequest::write(0, 4096)),
+        ];
+        let (engine, _) = run_engine(&machine(), vec![FileSpec::output("f")], vec![s0, s1]);
+        let stats = engine.service().cio_stats();
+        assert_eq!(stats.flushed_partial, 1);
+        assert_eq!(stats.singletons, 1, "only the forced flush runs solo");
+        assert_eq!((stats.collectives, stats.members), (1, 2));
+        let trace = engine.into_service().core.finish_trace();
+        let second = trace
+            .of_op(IoOp::Write)
+            .filter(|e| e.node == 0)
+            .max_by_key(|e| e.start)
+            .unwrap();
+        assert!(
+            second.end >= SimDuration::from_millis(50).nanos(),
+            "node 0's second write did not wait for node 1: {second:?}"
+        );
     }
 
     #[test]

@@ -10,7 +10,6 @@
 use crate::mode::AccessMode;
 use paragon_sim::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Static description of a registered file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -44,7 +43,20 @@ impl FileSpec {
     }
 }
 
-/// Runtime state of one file.
+/// `ranks` entry of a node outside the participant snapshot.
+const NO_RANK: u32 = u32::MAX;
+
+/// `v[node]`, growing `v` with defaults to cover `node`.
+fn slot<T: Copy + Default>(v: &mut Vec<T>, node: NodeId) -> &mut T {
+    let i = node as usize;
+    if i >= v.len() {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
+}
+
+/// Runtime state of one file. Per-node state is held in vectors indexed by
+/// node id.
 #[derive(Debug)]
 pub struct FileState {
     /// Static spec.
@@ -56,10 +68,12 @@ pub struct FileState {
     /// Access mode fixed by the current open wave (`None` when closed
     /// everywhere).
     pub mode: Option<AccessMode>,
-    /// Nodes currently holding the file open, with their open order.
-    pub openers: BTreeMap<NodeId, ()>,
+    /// Whether each node currently holds the file open.
+    openers: Vec<bool>,
+    /// Number of `true` entries in `openers`.
+    opener_count: usize,
     /// Per-node file pointers (independent-pointer modes).
-    pub pos: BTreeMap<NodeId, u64>,
+    pos: Vec<u64>,
     /// Shared file pointer (shared-pointer modes).
     pub shared_pos: u64,
     /// Next-free time of the shared-pointer token (M_LOG serialization).
@@ -67,10 +81,13 @@ pub struct FileState {
     /// Fixed record size (M_RECORD), locked by the first data access.
     pub record_size: Option<u64>,
     /// Per-node operation counters (M_RECORD record indexing).
-    pub op_count: BTreeMap<NodeId, u64>,
+    op_count: Vec<u64>,
     /// Participant snapshot for ordered/collective modes (sorted node ids),
     /// taken at the first data access after an open wave.
-    pub participants: Option<Vec<NodeId>>,
+    participants: Option<Vec<NodeId>>,
+    /// Each node's index in `participants` (`NO_RANK` if absent), built
+    /// with the snapshot.
+    ranks: Vec<u32>,
     /// M_SYNC: index into `participants` whose turn is next.
     pub turn: u64,
 }
@@ -84,13 +101,15 @@ impl FileState {
             len,
             created: false,
             mode: None,
-            openers: BTreeMap::new(),
-            pos: BTreeMap::new(),
+            openers: Vec::new(),
+            opener_count: 0,
+            pos: Vec::new(),
             shared_pos: 0,
             token_free: SimTime::ZERO,
             record_size: None,
-            op_count: BTreeMap::new(),
+            op_count: Vec::new(),
             participants: None,
+            ranks: Vec::new(),
             turn: 0,
         }
     }
@@ -108,8 +127,11 @@ impl FileState {
                 self.spec.name
             ),
         }
-        self.openers.insert(node, ());
-        self.pos.entry(node).or_insert(0);
+        let open = slot(&mut self.openers, node);
+        if !*open {
+            *open = true;
+            self.opener_count += 1;
+        }
         create
     }
 
@@ -117,46 +139,63 @@ impl FileState {
     /// resets so the file can be reopened in a different mode (ESCAT's
     /// staging files are written with M_UNIX and reread with M_RECORD).
     pub fn close(&mut self, node: NodeId) {
-        self.openers.remove(&node);
-        if self.openers.is_empty() {
+        if let Some(open) = self.openers.get_mut(node as usize) {
+            if *open {
+                *open = false;
+                self.opener_count -= 1;
+            }
+        }
+        if self.opener_count == 0 {
             self.mode = None;
             self.pos.clear();
             self.shared_pos = 0;
             self.record_size = None;
             self.op_count.clear();
             self.participants = None;
+            self.ranks.clear();
             self.turn = 0;
         }
     }
 
     /// Number of nodes currently holding the file open.
     pub fn opener_count(&self) -> usize {
-        self.openers.len()
+        self.opener_count
     }
 
-    /// Snapshot participants (sorted openers) if not yet snapshotted, and
-    /// return them.
+    /// Snapshot participants (sorted openers) and their rank table if not
+    /// yet snapshotted, and return them.
     pub fn participants(&mut self) -> &[NodeId] {
         if self.participants.is_none() {
-            self.participants = Some(self.openers.keys().copied().collect());
+            let parts: Vec<NodeId> = (0..self.openers.len() as NodeId)
+                .filter(|&n| self.openers[n as usize])
+                .collect();
+            self.ranks = vec![NO_RANK; self.openers.len()];
+            for (rank, &n) in parts.iter().enumerate() {
+                self.ranks[n as usize] = rank as u32;
+            }
+            self.participants = Some(parts);
         }
         self.participants.as_deref().unwrap()
     }
 
     /// Rank of a node among the participants.
     pub fn rank_of(&mut self, node: NodeId) -> u64 {
-        let parts = self.participants();
-        parts
-            .iter()
-            .position(|&n| n == node)
-            .unwrap_or_else(|| panic!("node {node} not a participant of {}", self.spec.name))
-            as u64
+        self.participants();
+        match self.ranks.get(node as usize) {
+            Some(&rank) if rank != NO_RANK => rank as u64,
+            _ => panic!("node {node} not a participant of {}", self.spec.name),
+        }
+    }
+
+    /// `node`'s file pointer (independent-pointer modes), 0 until moved.
+    pub fn pointer_mut(&mut self, node: NodeId) -> &mut u64 {
+        slot(&mut self.pos, node)
     }
 
     /// M_UNIX/M_ASYNC (and PPFS's client pointers): the op's offset —
     /// explicit, else `node`'s pointer — with the pointer moved past it.
     pub fn advance_pointer(&mut self, node: NodeId, explicit: Option<u64>, bytes: u64) -> u64 {
-        let pos = self.pos.entry(node).or_insert(0);
+        let pos = self.pointer_mut(node);
         let offset = explicit.unwrap_or(*pos);
         *pos = offset + bytes;
         offset
@@ -175,7 +214,7 @@ impl FileState {
         );
         let n = self.participants().len() as u64;
         let rank = self.rank_of(node);
-        let k = self.op_count.entry(node).or_insert(0);
+        let k = slot(&mut self.op_count, node);
         let offset = (*k * n + rank) * rs;
         *k += 1;
         offset
@@ -240,6 +279,34 @@ mod tests {
         // Snapshot is stable even if another node opens later.
         f.open(1, AccessMode::MRecord);
         assert_eq!(f.participants(), &[2, 5, 9]);
+    }
+
+    #[test]
+    fn full_close_resets_the_snapshot_and_record_counters() {
+        let mut f = FileState::new(FileSpec::output("r"));
+        f.open(3, AccessMode::MRecord);
+        f.open(1, AccessMode::MRecord);
+        assert_eq!(f.next_record(3, 10), 10);
+        assert_eq!(f.next_record(3, 10), 30);
+        f.close(3);
+        f.close(3); // closing twice is a no-op
+        assert_eq!(f.opener_count(), 1);
+        f.close(1);
+        f.open(3, AccessMode::MRecord);
+        assert_eq!(f.participants(), &[3]);
+        assert_eq!(f.rank_of(3), 0);
+        assert_eq!(f.next_record(3, 20), 0, "counters and record size reset");
+        assert_eq!(*f.pointer_mut(1), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a participant")]
+    fn rank_of_a_late_opener_panics() {
+        let mut f = FileState::new(FileSpec::output("s"));
+        f.open(0, AccessMode::MRecord);
+        f.participants();
+        f.open(7, AccessMode::MRecord);
+        f.rank_of(7);
     }
 
     #[test]

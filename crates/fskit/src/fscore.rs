@@ -327,7 +327,7 @@ impl FsCore {
         done: SimTime,
         sched: &mut Sched,
     ) {
-        let pos = self.files.state(file).pos.entry(node).or_insert(0);
+        let pos = self.files.state(file).pointer_mut(node);
         let distance = pos.abs_diff(target);
         *pos = target;
         self.recorder.complete_op(
