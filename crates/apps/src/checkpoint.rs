@@ -85,10 +85,20 @@ impl CheckpointPlan {
         units.min(epoch.saturating_mul(self.interval))
     }
 
-    /// True when boundary `epoch` exists for a writer with `units` work
-    /// units (a writer stops checkpointing once its own work is covered).
-    pub fn writes_boundary(&self, epoch: u32, units: u32) -> bool {
-        epoch >= 1 && (epoch - 1) * self.interval < units
+    /// The boundary a writer with `units` work units commits once `done`
+    /// of them are complete: every `interval` units, plus a final partial
+    /// epoch at its last unit. `None` between boundaries.
+    pub fn boundary(&self, done: u32, units: u32) -> Option<u32> {
+        (done.is_multiple_of(self.interval) || done == units).then(|| done.div_ceil(self.interval))
+    }
+
+    /// Workload label of the checkpointed `app`: `<app>-ckpt` for a fresh
+    /// run, `<app>-ckpt-resume<k>` for one resumed from boundary `k`.
+    pub fn label(&self, app: &str) -> String {
+        match self.start_epoch {
+            0 => format!("{app}-ckpt"),
+            k => format!("{app}-ckpt-resume{k}"),
+        }
     }
 
     /// Byte offset of node `node`'s record for boundary `epoch` (1-based).
@@ -156,6 +166,8 @@ pub struct CheckpointedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EscatParams, HtfParams, RenderParams};
+    use paragon_sim::program::IoVerb;
     use sio_core::checkpoint::CheckpointStore;
 
     #[test]
@@ -180,9 +192,82 @@ mod tests {
         assert_eq!(p.epochs, 3);
         assert_eq!(p.units_at(1, 10), 4);
         assert_eq!(p.units_at(3, 10), 10);
-        assert!(p.writes_boundary(1, 3));
-        assert!(!p.writes_boundary(2, 3)); // 3 units done at boundary 1
-        assert!(p.writes_boundary(3, 10));
+        // The short writer commits its only boundary at its last unit.
+        assert_eq!(p.boundary(3, 3), Some(1));
+        assert_eq!((1..3).find_map(|d| p.boundary(d, 3)), None);
+        // A full writer commits at 4, 8 and its ragged end.
+        let full: Vec<_> = (1..=10).filter_map(|d| p.boundary(d, 10)).collect();
+        assert_eq!(full, vec![1, 2, 3]);
+        assert_eq!(p.boundary(8, 10), Some(2));
+        assert_eq!(p.boundary(10, 10), Some(3));
+    }
+
+    #[test]
+    fn labels_name_the_resume_epoch() {
+        let p = CheckpointPlan::new(6, 1, 4, 4, 10);
+        assert_eq!(p.label("escat"), "escat-ckpt");
+        assert_eq!(p.resumed(2).label("htf-pargos"), "htf-pargos-ckpt-resume2");
+    }
+
+    /// A fresh checkpointed run is its app's plain run plus the plan's
+    /// commits: stripping every `Sync` and every op on the checkpoint file
+    /// leaves the plain scripts op for op, and the file tables differ only
+    /// in the checkpoint file. `writer_units` are the work units of each
+    /// checkpointing node, which commit `ceil(units / interval)` records.
+    fn assert_only_adds(plain: &Workload, cw: &CheckpointedWorkload, writer_units: &[u32]) {
+        let (w, ck) = (&cw.workload, cw.plan.file);
+        let added = |op: &ScriptOp| match op {
+            ScriptOp::Io(r) | ScriptOp::IoAsync(r) => r.verb == IoVerb::Sync || r.file == ck,
+            _ => false,
+        };
+        let stripped: Vec<Vec<ScriptOp>> = w
+            .scripts
+            .iter()
+            .map(|s| s.iter().filter(|op| !added(op)).copied().collect())
+            .collect();
+        assert_eq!(stripped, plain.scripts, "{}", w.label);
+
+        let others = |w: &Workload| -> Vec<String> {
+            w.files
+                .iter()
+                .enumerate()
+                .filter(|&(id, _)| id as u32 != ck)
+                .map(|(_, spec)| format!("{spec:?}"))
+                .collect()
+        };
+        assert_eq!(others(w), others(plain), "{}", w.label);
+
+        let is_record = |op: &&ScriptOp| matches!(op, ScriptOp::Io(r) if r.verb == IoVerb::Write && r.file == ck);
+        let records = w.scripts.iter().flatten().filter(is_record).count() as u32;
+        let expected: u32 = writer_units
+            .iter()
+            .map(|u| u.div_ceil(cw.plan.interval))
+            .sum();
+        assert_eq!(records, expected, "{}", w.label);
+    }
+
+    #[test]
+    fn checkpointing_only_adds_ops() {
+        for p in [EscatParams::small(8, 8), EscatParams::small(4, 5)] {
+            let (plain, units) = (p.workload(), vec![p.iters; p.nodes as usize]);
+            for interval in 1..=p.iters {
+                assert_only_adds(&plain, &p.workload_checkpointed(interval, 0), &units);
+            }
+        }
+        for p in [RenderParams::small(8, 4), RenderParams::small(3, 7)] {
+            let plain = p.workload();
+            for interval in 1..=p.frames {
+                assert_only_adds(&plain, &p.workload_checkpointed(interval, 0), &[p.frames]);
+            }
+        }
+        for p in [HtfParams::small(8), HtfParams::small(3)] {
+            let plain = p.pargos_workload();
+            let units: Vec<u32> = (0..p.nodes).map(|n| p.records_of(n)).collect();
+            for interval in 1..=p.records_of(0) {
+                let cw = p.pargos_workload_checkpointed(interval, 0);
+                assert_only_adds(&plain, &cw, &units);
+            }
+        }
     }
 
     #[test]
@@ -203,7 +288,6 @@ mod tests {
 
     #[test]
     fn commit_ops_sync_data_then_write_then_sync() {
-        use paragon_sim::program::IoVerb;
         let p = CheckpointPlan::new(6, 1, 4, 8, 52);
         let ops = p.commit_ops(2, 3, &[7, 8]);
         let verbs: Vec<_> = ops

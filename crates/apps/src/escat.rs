@@ -149,7 +149,7 @@ impl EscatParams {
 
     /// Build the runnable workload.
     pub fn workload(&self) -> Workload {
-        self.build_workload(false)
+        self.build("escat", false, None)
     }
 
     /// The staging phase with a record-cyclic layout instead of contiguous
@@ -160,10 +160,32 @@ impl EscatParams {
     /// the layout where collective two-phase I/O pays: each round's writes
     /// coalesce into one contiguous run per I/O node.
     pub fn interleaved_workload(&self) -> Workload {
-        self.build_workload(true)
+        self.build("escat-interleaved", true, None)
     }
 
-    fn build_workload(&self, interleaved: bool) -> Workload {
+    /// Build the checkpointed workload: every `interval` quadrature
+    /// iterations each node commits an epoch boundary — sync both staging
+    /// files, write its checkpoint record into file
+    /// [`files::CHECKPOINT`], sync the checkpoint file. With
+    /// `resume_epoch > 0` the run restarts from that boundary: phase 1 is
+    /// redone (the restart cost of reloading the problem), the iterations
+    /// covered by the checkpoint are skipped, and the staging/checkpoint
+    /// files pre-exist holding the recovered data.
+    pub fn workload_checkpointed(&self, interval: u32, resume_epoch: u32) -> CheckpointedWorkload {
+        let mut plan = CheckpointPlan::new(files::CHECKPOINT, 1, self.nodes, interval, self.iters)
+            .resumed(resume_epoch);
+        plan.covered = files::STAGING.to_vec();
+        CheckpointedWorkload {
+            workload: self.build(&plan.label("escat"), false, Some(&plan)),
+            plan,
+        }
+    }
+
+    /// The one script builder. `ckpt` weaves the plan's commits into the
+    /// quadrature loop and, on a resumed plan, skips the covered
+    /// iterations; everything else is the same program.
+    fn build(&self, label: &str, interleaved: bool, ckpt: Option<&CheckpointPlan>) -> Workload {
+        let skip = ckpt.map_or(0, |plan| plan.units_at(plan.start_epoch, self.iters));
         let mut specs: Vec<FileSpec> = Vec::new();
         for id in 0..12u32 {
             let spec = if files::INPUT.contains(&id) {
@@ -172,9 +194,17 @@ impl EscatParams {
                     self.init_volume() / 3 + (1 << 20),
                 )
             } else if files::STAGING.contains(&id) {
-                FileSpec::output(&format!("escat-staging-{id}"))
+                let name = format!("escat-staging-{id}");
+                if skip > 0 {
+                    let len = self.region_base(self.nodes - 1) + skip as u64 * self.quad_bytes;
+                    FileSpec::input(&name, len)
+                } else {
+                    FileSpec::output(&name)
+                }
             } else if files::OUTPUT.contains(&id) {
                 FileSpec::output(&format!("escat-output-{id}"))
+            } else if let (Some(plan), files::CHECKPOINT) = (ckpt, id) {
+                plan.file_spec("escat-ckpt")
             } else {
                 FileSpec::input("unused", 0)
             };
@@ -187,7 +217,8 @@ impl EscatParams {
         for node in 0..self.nodes {
             let mut ops: Vec<ScriptOp> = Vec::new();
 
-            // --- Phase 1: compulsory input (node 0) + broadcast ---
+            // --- Phase 1: compulsory input (node 0) + broadcast; a
+            // restarted run pays this cost again ---
             if node == 0 {
                 for f in files::INPUT {
                     ops.push(op_open(f, AccessMode::MUnix));
@@ -214,7 +245,8 @@ impl EscatParams {
                 group: 0,
             });
 
-            // --- Phase 2: quadrature compute/seek/write cycles ---
+            // --- Phase 2: quadrature compute/seek/write cycles, with an
+            // epoch commit every `interval` iterations when checkpointing ---
             let stage_mode = if interleaved {
                 AccessMode::MRecord
             } else {
@@ -223,12 +255,17 @@ impl EscatParams {
             for f in files::STAGING {
                 ops.push(op_open(f, stage_mode));
             }
+            if let Some(plan) = ckpt {
+                ops.push(op_open(plan.file, AccessMode::MUnix));
+            }
             let base = self.region_base(node);
-            for j in 0..self.iters {
+            for j in skip..self.iters {
                 ops.push(op_compute(self.iter_compute(j)));
                 ops.push(ScriptOp::Barrier(0));
                 for f in files::STAGING {
-                    if !interleaved && j < self.seek_iters {
+                    // A resumed run must reposition explicitly on its first
+                    // iteration even past the seek/append switchover.
+                    if !interleaved && (j < self.seek_iters || (skip > 0 && j == skip)) {
                         ops.push(ScriptOp::Io(IoRequest::seek(
                             f,
                             base + j as u64 * self.quad_bytes,
@@ -236,6 +273,14 @@ impl EscatParams {
                     }
                     ops.push(ScriptOp::Io(IoRequest::write(f, self.quad_bytes)));
                 }
+                if let Some(plan) = ckpt {
+                    if let Some(epoch) = plan.boundary(j + 1, self.iters) {
+                        ops.extend(plan.commit_ops(node, epoch, &files::STAGING));
+                    }
+                }
+            }
+            if let Some(plan) = ckpt {
+                ops.push(ScriptOp::Io(IoRequest::close(plan.file)));
             }
 
             // --- Phase 3: energy-dependent calculation + reload ---
@@ -308,173 +353,10 @@ impl EscatParams {
         }
 
         Workload {
-            label: if interleaved {
-                "escat-interleaved".to_string()
-            } else {
-                "escat".to_string()
-            },
+            label: label.to_string(),
             files: specs,
             scripts,
             groups: Vec::new(),
-        }
-    }
-
-    /// Build the checkpointed workload: every `interval` quadrature
-    /// iterations each node commits an epoch boundary — sync both staging
-    /// files, write its checkpoint record into file
-    /// [`files::CHECKPOINT`], sync the checkpoint file. With
-    /// `resume_epoch > 0` the run restarts from that boundary: phase 1 is
-    /// redone (the restart cost of reloading the problem), the iterations
-    /// covered by the checkpoint are skipped, and the staging/checkpoint
-    /// files pre-exist holding the recovered data.
-    pub fn workload_checkpointed(&self, interval: u32, resume_epoch: u32) -> CheckpointedWorkload {
-        let mut plan = CheckpointPlan::new(files::CHECKPOINT, 1, self.nodes, interval, self.iters)
-            .resumed(resume_epoch);
-        plan.covered = files::STAGING.to_vec();
-        let skip = plan.units_at(resume_epoch, self.iters);
-
-        let mut specs: Vec<FileSpec> = Vec::new();
-        for id in 0..12u32 {
-            let spec = if files::INPUT.contains(&id) {
-                FileSpec::input(
-                    &format!("escat-input-{id}"),
-                    self.init_volume() / 3 + (1 << 20),
-                )
-            } else if files::STAGING.contains(&id) {
-                if skip > 0 {
-                    FileSpec::input(
-                        &format!("escat-staging-{id}"),
-                        self.region_base(self.nodes - 1) + skip as u64 * self.quad_bytes,
-                    )
-                } else {
-                    FileSpec::output(&format!("escat-staging-{id}"))
-                }
-            } else if files::OUTPUT.contains(&id) {
-                FileSpec::output(&format!("escat-output-{id}"))
-            } else if id == files::CHECKPOINT {
-                plan.file_spec("escat-ckpt")
-            } else {
-                FileSpec::input("unused", 0)
-            };
-            specs.push(spec);
-        }
-
-        let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
-        let gather_bytes = 2 * self.iters as u64 * self.quad_bytes;
-
-        for node in 0..self.nodes {
-            let mut ops: Vec<ScriptOp> = Vec::new();
-
-            // Phase 1 is identical to `workload()`: a restarted run pays
-            // the compulsory-input cost again.
-            if node == 0 {
-                for f in files::INPUT {
-                    ops.push(op_open(f, AccessMode::MUnix));
-                }
-                for k in 0..self.init_small_reads {
-                    let f = files::INPUT[(k % 3) as usize];
-                    ops.push(ScriptOp::Io(IoRequest::read(f, self.init_small_bytes)));
-                }
-                for k in 0..self.init_medium_reads {
-                    let f = files::INPUT[(k % 3) as usize];
-                    ops.push(ScriptOp::Io(IoRequest::read(f, self.init_medium_bytes)));
-                }
-                for k in 0..self.init_large_reads {
-                    let f = files::INPUT[(k % 3) as usize];
-                    ops.push(ScriptOp::Io(IoRequest::read(f, self.init_large_bytes)));
-                }
-                for f in files::INPUT {
-                    ops.push(ScriptOp::Io(IoRequest::close(f)));
-                }
-            }
-            ops.push(ScriptOp::Broadcast {
-                root: 0,
-                bytes: self.init_volume(),
-                group: 0,
-            });
-
-            // Phase 2: quadrature with epoch commits every `interval`
-            // iterations (plus a final partial epoch).
-            for f in files::STAGING {
-                ops.push(op_open(f, AccessMode::MUnix));
-            }
-            ops.push(op_open(files::CHECKPOINT, AccessMode::MUnix));
-            let base = self.region_base(node);
-            for j in skip..self.iters {
-                ops.push(op_compute(self.iter_compute(j)));
-                ops.push(ScriptOp::Barrier(0));
-                for f in files::STAGING {
-                    // A resumed run must reposition explicitly on its first
-                    // iteration even past the seek/append switchover.
-                    if j < self.seek_iters || (skip > 0 && j == skip) {
-                        ops.push(ScriptOp::Io(IoRequest::seek(
-                            f,
-                            base + j as u64 * self.quad_bytes,
-                        )));
-                    }
-                    ops.push(ScriptOp::Io(IoRequest::write(f, self.quad_bytes)));
-                }
-                let done = j + 1;
-                if done % interval == 0 || done == self.iters {
-                    ops.extend(plan.commit_ops(node, done.div_ceil(interval), &files::STAGING));
-                }
-            }
-            ops.push(ScriptOp::Io(IoRequest::close(files::CHECKPOINT)));
-
-            // Phases 3 and 4 as in `workload()`.
-            ops.push(op_compute(self.energy_compute));
-            ops.push(ScriptOp::Barrier(0));
-            for f in files::STAGING {
-                let mut req = IoRequest::read(f, self.region_stride());
-                req.offset = Some(base);
-                ops.push(ScriptOp::Io(req));
-            }
-            for f in files::STAGING {
-                ops.push(ScriptOp::Io(IoRequest::close(f)));
-            }
-            if node == 0 {
-                for sender in 1..self.nodes {
-                    ops.push(ScriptOp::Recv {
-                        from: sender,
-                        tag: 900,
-                    });
-                }
-                for f in files::OUTPUT {
-                    ops.push(op_open(f, AccessMode::MUnix));
-                }
-                ops.push(ScriptOp::Io(IoRequest::seek(files::OUTPUT[0], 0)));
-                ops.push(ScriptOp::Io(IoRequest::seek(files::OUTPUT[1], 0)));
-                for k in 0..self.output_writes {
-                    let f = files::OUTPUT[(k % 3) as usize];
-                    ops.push(ScriptOp::Io(IoRequest::write(f, self.output_bytes)));
-                }
-                for f in files::OUTPUT {
-                    ops.push(ScriptOp::Io(IoRequest::close(f)));
-                }
-            } else {
-                ops.push(ScriptOp::Send {
-                    to: 0,
-                    bytes: gather_bytes,
-                    tag: 900,
-                });
-            }
-
-            scripts.push(ops);
-        }
-
-        let label = if resume_epoch == 0 {
-            "escat-ckpt".to_string()
-        } else {
-            format!("escat-ckpt-resume{resume_epoch}")
-        };
-        CheckpointedWorkload {
-            workload: Workload {
-                label,
-                files: specs,
-                scripts,
-                groups: Vec::new(),
-            },
-            plan,
         }
     }
 

@@ -237,6 +237,49 @@ impl HtfParams {
 
     /// Build the pargos (integral calculation) workload.
     pub fn pargos_workload(&self) -> Workload {
+        self.build_pargos("htf-pargos", None)
+    }
+
+    /// File id of the pargos checkpoint file (first id past the integral
+    /// files).
+    pub fn pargos_checkpoint_file(&self) -> u32 {
+        2 + self.nodes
+    }
+
+    /// Build the checkpointed pargos workload: every `interval` integral
+    /// records a node syncs its integral file (forcing PPFS write-behind
+    /// buffers to disk), writes its checkpoint record, and syncs the
+    /// checkpoint file. Nodes have ragged record counts, so a node stops
+    /// checkpointing once its own records are covered. With
+    /// `resume_epoch > 0` the integral files pre-exist holding the
+    /// recovered records and each node appends from its resume point.
+    pub fn pargos_workload_checkpointed(
+        &self,
+        interval: u32,
+        resume_epoch: u32,
+    ) -> CheckpointedWorkload {
+        let mut plan = CheckpointPlan::new(
+            self.pargos_checkpoint_file(),
+            3,
+            self.nodes,
+            interval,
+            self.records_of(0),
+        )
+        .resumed(resume_epoch);
+        plan.covered = (0..self.nodes).map(|n| self.integral_file(n)).collect();
+        CheckpointedWorkload {
+            workload: self.build_pargos(&plan.label("htf-pargos"), Some(&plan)),
+            plan,
+        }
+    }
+
+    /// The one pargos script builder. `ckpt` adds each node's commits to
+    /// its record loop and, on a resumed plan, skips the records the
+    /// checkpoint covers; everything else is the same program.
+    fn build_pargos(&self, label: &str, ckpt: Option<&CheckpointPlan>) -> Workload {
+        let skip_of =
+            |records: u32| ckpt.map_or(0, |plan| plan.units_at(plan.start_epoch, records));
+        let resumed = ckpt.is_some_and(|plan| plan.start_epoch > 0);
         let mut files = vec![
             FileSpec::input(
                 "htf-setup-out",
@@ -244,14 +287,29 @@ impl HtfParams {
                     + self.pargos_medium_reads as u64 * self.pargos_medium_read_bytes
                     + 4096,
             ),
-            FileSpec::output("htf-pargos-aux"),
+            if resumed {
+                FileSpec::input("htf-pargos-aux", 50_000)
+            } else {
+                FileSpec::output("htf-pargos-aux")
+            },
         ];
         for n in 0..self.nodes {
-            files.push(FileSpec::output(&format!("integrals-{n:03}")));
+            let name = format!("integrals-{n:03}");
+            let skip = skip_of(self.records_of(n));
+            files.push(if skip > 0 {
+                FileSpec::input(&name, skip as u64 * self.integral_bytes)
+            } else {
+                FileSpec::output(&name)
+            });
+        }
+        if let Some(plan) = ckpt {
+            files.push(plan.file_spec("htf-pargos-ckpt"));
         }
         let mut rng = StdRng::seed_from_u64(0x4854_4601);
         let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
         for node in 0..self.nodes {
+            let records = self.records_of(node);
+            let skip = skip_of(records);
             let mut ops: Vec<ScriptOp> = Vec::new();
             if node == 0 {
                 // Node 0 reads the setup output and re-broadcasts it.
@@ -284,14 +342,33 @@ impl HtfParams {
             });
             let f = self.integral_file(node);
             ops.push(op_open(f, AccessMode::MUnix));
-            ops.push(ScriptOp::Io(IoRequest::seek(f, 0)));
+            ops.push(ScriptOp::Io(IoRequest::seek(
+                f,
+                skip as u64 * self.integral_bytes,
+            )));
+            if let Some(plan) = ckpt {
+                ops.push(op_open(plan.file, AccessMode::MUnix));
+            }
             // Jittered compute desynchronizes the writers, as integral
-            // screening does in the real code.
-            for _ in 0..self.records_of(node) {
+            // screening does in the real code. Every record draws its
+            // jitter, so a resumed run replays the same compute times for
+            // the records it still has to do.
+            for r in 0..records {
                 let jitter = rng.random_range(0.8..1.2);
+                if r < skip {
+                    continue;
+                }
                 ops.push(op_compute(self.integral_compute * jitter));
                 ops.push(ScriptOp::Io(IoRequest::write(f, self.integral_bytes)));
                 ops.push(ScriptOp::Io(IoRequest::flush(f)));
+                if let Some(plan) = ckpt {
+                    if let Some(epoch) = plan.boundary(r + 1, records) {
+                        ops.extend(plan.commit_ops(node, epoch, &[f]));
+                    }
+                }
+            }
+            if let Some(plan) = ckpt {
+                ops.push(ScriptOp::Io(IoRequest::close(plan.file)));
             }
             ops.push(ScriptOp::Io(IoRequest::flush(f)));
             ops.push(ScriptOp::Io(IoRequest::lsize(f)));
@@ -299,17 +376,11 @@ impl HtfParams {
             scripts.push(ops);
         }
         Workload {
-            label: "htf-pargos".to_string(),
+            label: label.to_string(),
             files,
             scripts,
             groups: Vec::new(),
         }
-    }
-
-    /// File id of the pargos checkpoint file (first id past the integral
-    /// files).
-    pub fn pargos_checkpoint_file(&self) -> u32 {
-        2 + self.nodes
     }
 
     /// Synchronized integral rounds every node completes in the shared-file
@@ -355,136 +426,6 @@ impl HtfParams {
         }
     }
 
-    /// Per-(node, record) compute jitters, drawn in exactly the order
-    /// `pargos_workload` draws them so a resumed run replays the *same*
-    /// compute times for the records it still has to do.
-    fn pargos_jitters(&self) -> Vec<Vec<f64>> {
-        let mut rng = StdRng::seed_from_u64(0x4854_4601);
-        (0..self.nodes)
-            .map(|node| {
-                (0..self.records_of(node))
-                    .map(|_| rng.random_range(0.8..1.2))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Build the checkpointed pargos workload: every `interval` integral
-    /// records a node syncs its integral file (forcing PPFS write-behind
-    /// buffers to disk), writes its checkpoint record, and syncs the
-    /// checkpoint file. Nodes have ragged record counts, so a node stops
-    /// checkpointing once its own records are covered. With
-    /// `resume_epoch > 0` the integral files pre-exist holding the
-    /// recovered records and each node appends from its resume point.
-    pub fn pargos_workload_checkpointed(
-        &self,
-        interval: u32,
-        resume_epoch: u32,
-    ) -> CheckpointedWorkload {
-        let ck = self.pargos_checkpoint_file();
-        let mut plan = CheckpointPlan::new(ck, 3, self.nodes, interval, self.records_of(0))
-            .resumed(resume_epoch);
-        plan.covered = (0..self.nodes).map(|n| self.integral_file(n)).collect();
-
-        let mut files = vec![
-            FileSpec::input(
-                "htf-setup-out",
-                self.pargos_small_reads as u64 * self.pargos_small_read_bytes
-                    + self.pargos_medium_reads as u64 * self.pargos_medium_read_bytes
-                    + 4096,
-            ),
-            if resume_epoch == 0 {
-                FileSpec::output("htf-pargos-aux")
-            } else {
-                FileSpec::input("htf-pargos-aux", 50_000)
-            },
-        ];
-        for n in 0..self.nodes {
-            let skip_n = plan.units_at(resume_epoch, self.records_of(n));
-            files.push(if skip_n > 0 {
-                FileSpec::input(
-                    &format!("integrals-{n:03}"),
-                    skip_n as u64 * self.integral_bytes,
-                )
-            } else {
-                FileSpec::output(&format!("integrals-{n:03}"))
-            });
-        }
-        files.push(plan.file_spec("htf-pargos-ckpt"));
-
-        let jitters = self.pargos_jitters();
-        let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
-        for node in 0..self.nodes {
-            let records = self.records_of(node);
-            let skip = plan.units_at(resume_epoch, records);
-            let mut ops: Vec<ScriptOp> = Vec::new();
-            if node == 0 {
-                ops.push(op_open(0, AccessMode::MUnix));
-                for _ in 0..self.pargos_small_reads {
-                    ops.push(ScriptOp::Io(IoRequest::read(
-                        0,
-                        self.pargos_small_read_bytes,
-                    )));
-                }
-                for _ in 0..self.pargos_medium_reads {
-                    ops.push(ScriptOp::Io(IoRequest::read(
-                        0,
-                        self.pargos_medium_read_bytes,
-                    )));
-                }
-                ops.push(ScriptOp::Io(IoRequest::seek(0, 0)));
-                ops.push(ScriptOp::Io(IoRequest::close(0)));
-                ops.push(op_open(1, AccessMode::MUnix));
-                ops.push(ScriptOp::Io(IoRequest::seek(1, 0)));
-                ops.push(ScriptOp::Io(IoRequest::write(1, 1_000)));
-                ops.push(ScriptOp::Io(IoRequest::write(1, 1_000)));
-                ops.push(ScriptOp::Io(IoRequest::write(1, 48_000)));
-            }
-            ops.push(ScriptOp::Broadcast {
-                root: 0,
-                bytes: 34_400,
-                group: 0,
-            });
-            let f = self.integral_file(node);
-            ops.push(op_open(f, AccessMode::MUnix));
-            ops.push(ScriptOp::Io(IoRequest::seek(
-                f,
-                skip as u64 * self.integral_bytes,
-            )));
-            ops.push(op_open(ck, AccessMode::MUnix));
-            for r in skip..records {
-                let jitter = jitters[node as usize][r as usize];
-                ops.push(op_compute(self.integral_compute * jitter));
-                ops.push(ScriptOp::Io(IoRequest::write(f, self.integral_bytes)));
-                ops.push(ScriptOp::Io(IoRequest::flush(f)));
-                let done = r + 1;
-                if done % interval == 0 || done == records {
-                    ops.extend(plan.commit_ops(node, done.div_ceil(interval), &[f]));
-                }
-            }
-            ops.push(ScriptOp::Io(IoRequest::close(ck)));
-            ops.push(ScriptOp::Io(IoRequest::flush(f)));
-            ops.push(ScriptOp::Io(IoRequest::lsize(f)));
-            ops.push(ScriptOp::Io(IoRequest::close(f)));
-            scripts.push(ops);
-        }
-
-        let label = if resume_epoch == 0 {
-            "htf-pargos-ckpt".to_string()
-        } else {
-            format!("htf-pargos-ckpt-resume{resume_epoch}")
-        };
-        CheckpointedWorkload {
-            workload: Workload {
-                label,
-                files,
-                scripts,
-                groups: Vec::new(),
-            },
-            plan,
-        }
-    }
-
     // ------------------------------------------------------------------
     // pscf
     // ------------------------------------------------------------------
@@ -504,19 +445,16 @@ impl HtfParams {
                 self.records_of(n) as u64 * self.integral_bytes,
             ));
         }
-        let integral_file = |n: u32| 2 + n;
-
         let split = |total: u32, parts: u32, k: u32| total / parts + u32::from(k < total % parts);
 
         let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
         for node in 0..self.nodes {
             let mut ops: Vec<ScriptOp> = Vec::new();
-            let f = integral_file(node);
+            let f = self.integral_file(node);
             ops.push(op_open(f, AccessMode::MUnix));
             // Stagger pass starts slightly so 128 nodes do not convoy.
             ops.push(op_compute(0.05 * node as f64));
             let records = self.records_of(node);
-            let my_len = records as u64 * self.integral_bytes;
             for _pass in 0..self.scf_passes {
                 // Rewind before every pass: distance 0 the first time, the
                 // whole file afterwards — Table 5's 3.495 GB of seek volume.
@@ -532,7 +470,6 @@ impl HtfParams {
                 for _ in 0..self.scf_extra_reads {
                     let mut req = IoRequest::read(f, self.integral_bytes);
                     req.offset = Some(0);
-                    let _ = my_len;
                     ops.push(ScriptOp::Io(req));
                 }
             }

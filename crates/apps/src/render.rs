@@ -137,6 +137,37 @@ impl RenderParams {
 
     /// Build the runnable workload.
     pub fn workload(&self) -> Workload {
+        self.build("render", None)
+    }
+
+    /// File id of the gateway's checkpoint file (first id past the frame
+    /// files).
+    pub fn checkpoint_file(&self) -> u32 {
+        self.data_files + 1 + self.frames
+    }
+
+    /// Build the checkpointed workload: the gateway alone commits an epoch
+    /// boundary every `interval` frames — frames are already durable when
+    /// their file closes (one file per frame), so the commit is a sync of
+    /// the last frame file followed by the checkpoint record write + sync.
+    /// With `resume_epoch > 0` initialization is redone (the terrain
+    /// data set must be re-read and re-broadcast — the dominant restart
+    /// cost) and the frame loop starts past the recovered frames.
+    pub fn workload_checkpointed(&self, interval: u32, resume_epoch: u32) -> CheckpointedWorkload {
+        let mut plan = CheckpointPlan::new(self.checkpoint_file(), 2, 1, interval, self.frames)
+            .resumed(resume_epoch);
+        plan.covered = (0..self.frames).map(|i| self.frame_file(i)).collect();
+        CheckpointedWorkload {
+            workload: self.build(&plan.label("render"), Some(&plan)),
+            plan,
+        }
+    }
+
+    /// The one script builder. `ckpt` adds the gateway's commits to the
+    /// frame loop and, on a resumed plan, starts every node's loop past the
+    /// recovered frames; everything else is the same program.
+    fn build(&self, label: &str, ckpt: Option<&CheckpointPlan>) -> Workload {
+        let skip = ckpt.map_or(0, |plan| plan.units_at(plan.start_epoch, self.frames));
         let mut specs: Vec<FileSpec> = Vec::new();
         for k in 0..self.data_files {
             let (big, half) = self.file_reads(k);
@@ -150,6 +181,9 @@ impl RenderParams {
         for i in 0..self.frames {
             specs.push(FileSpec::output(&format!("frame-{i:04}")));
         }
+        if let Some(plan) = ckpt {
+            specs.push(plan.file_spec("render-ckpt"));
+        }
 
         let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
         let renderers = self.nodes - 1;
@@ -158,7 +192,8 @@ impl RenderParams {
         for node in 0..self.nodes {
             let mut ops: Vec<ScriptOp> = Vec::new();
             if node == 0 {
-                // ---- Gateway: initialization ----
+                // ---- Gateway: initialization (a restarted gateway re-reads
+                // and re-broadcasts the terrain data) ----
                 let ctl = self.control_file();
                 ops.push(op_open(ctl, AccessMode::MUnix));
                 for _ in 0..self.init_view_reads {
@@ -192,8 +227,6 @@ impl RenderParams {
                         ops.push(ScriptOp::WaitOldest);
                         ops.push(op_compute(self.decode_compute));
                     }
-                    outstanding = 0;
-                    let _ = outstanding;
                 }
                 ops.push(ScriptOp::Broadcast {
                     root: 0,
@@ -202,7 +235,17 @@ impl RenderParams {
                 });
                 // ---- Gateway: frame loop ----
                 ops.push(op_open(ctl, AccessMode::MUnix));
-                for i in 0..self.frames {
+                if skip > 0 {
+                    // Skip the view records of recovered frames.
+                    ops.push(ScriptOp::Io(IoRequest::seek(
+                        ctl,
+                        (self.init_view_reads + skip) as u64 * self.view_bytes,
+                    )));
+                }
+                if let Some(plan) = ckpt {
+                    ops.push(op_open(plan.file, AccessMode::MUnix));
+                }
+                for i in skip..self.frames {
                     ops.push(ScriptOp::Io(IoRequest::read(ctl, self.view_bytes)));
                     ops.push(ScriptOp::Broadcast {
                         root: 0,
@@ -227,7 +270,19 @@ impl RenderParams {
                     for _ in head..self.frame_small_writes {
                         ops.push(ScriptOp::Io(IoRequest::write(out, self.frame_small_bytes)));
                     }
+                    let epoch = ckpt.and_then(|plan| plan.boundary(i + 1, self.frames));
+                    if epoch.is_some() {
+                        // The frame's data must be durable before it closes
+                        // and the boundary record commits.
+                        ops.push(ScriptOp::Io(IoRequest::sync(out)));
+                    }
                     ops.push(ScriptOp::Io(IoRequest::close(out)));
+                    if let (Some(plan), Some(epoch)) = (ckpt, epoch) {
+                        ops.extend(plan.commit_ops(0, epoch, &[]));
+                    }
+                }
+                if let Some(plan) = ckpt {
+                    ops.push(ScriptOp::Io(IoRequest::close(plan.file)));
                 }
             } else {
                 // ---- Renderer ----
@@ -236,7 +291,7 @@ impl RenderParams {
                     bytes: self.data_volume(),
                     group: 0,
                 });
-                for i in 0..self.frames {
+                for i in skip..self.frames {
                     ops.push(ScriptOp::Broadcast {
                         root: 0,
                         bytes: self.view_bytes,
@@ -254,177 +309,10 @@ impl RenderParams {
         }
 
         Workload {
-            label: "render".to_string(),
+            label: label.to_string(),
             files: specs,
             scripts,
             groups: Vec::new(),
-        }
-    }
-
-    /// File id of the gateway's checkpoint file (first id past the frame
-    /// files).
-    pub fn checkpoint_file(&self) -> u32 {
-        self.data_files + 1 + self.frames
-    }
-
-    /// Build the checkpointed workload: the gateway alone commits an epoch
-    /// boundary every `interval` frames — frames are already durable when
-    /// their file closes (one file per frame), so the commit is a sync of
-    /// the last frame file followed by the checkpoint record write + sync.
-    /// With `resume_epoch > 0` initialization is redone (the terrain
-    /// data set must be re-read and re-broadcast — the dominant restart
-    /// cost) and the frame loop starts past the recovered frames.
-    pub fn workload_checkpointed(&self, interval: u32, resume_epoch: u32) -> CheckpointedWorkload {
-        let ck = self.checkpoint_file();
-        let mut plan = CheckpointPlan::new(ck, 2, 1, interval, self.frames).resumed(resume_epoch);
-        plan.covered = (0..self.frames).map(|i| self.frame_file(i)).collect();
-        let skip = plan.units_at(resume_epoch, self.frames);
-
-        let mut specs: Vec<FileSpec> = Vec::new();
-        for k in 0..self.data_files {
-            let (big, half) = self.file_reads(k);
-            let len = big as u64 * self.big_bytes + half as u64 * self.half_bytes;
-            specs.push(FileSpec::input(&format!("terrain-{k}"), len));
-        }
-        specs.push(FileSpec::input(
-            "views",
-            (self.init_view_reads + self.frames) as u64 * self.view_bytes,
-        ));
-        for i in 0..self.frames {
-            specs.push(FileSpec::output(&format!("frame-{i:04}")));
-        }
-        specs.push(plan.file_spec("render-ckpt"));
-
-        let mut scripts: Vec<Vec<ScriptOp>> = Vec::with_capacity(self.nodes as usize);
-        let renderers = self.nodes - 1;
-        let partial_bytes = self.frame_bytes / renderers as u64;
-
-        for node in 0..self.nodes {
-            let mut ops: Vec<ScriptOp> = Vec::new();
-            if node == 0 {
-                // Initialization identical to `workload()` — a restarted
-                // gateway re-reads and re-broadcasts the terrain data.
-                let ctl = self.control_file();
-                ops.push(op_open(ctl, AccessMode::MUnix));
-                for _ in 0..self.init_view_reads {
-                    ops.push(ScriptOp::Io(IoRequest::read(ctl, self.view_bytes)));
-                }
-                ops.push(ScriptOp::Io(IoRequest::close(ctl)));
-                for k in 0..self.data_files {
-                    let f = self.data_file(k);
-                    ops.push(op_open(f, AccessMode::MUnix));
-                    ops.push(ScriptOp::Io(IoRequest::seek(f, 0)));
-                    let (big, half) = self.file_reads(k);
-                    let mut issued = 0u32;
-                    let total = big + half;
-                    let mut outstanding = 0u32;
-                    while issued < total {
-                        if outstanding == self.prefetch_depth {
-                            ops.push(ScriptOp::WaitOldest);
-                            ops.push(op_compute(self.decode_compute));
-                            outstanding -= 1;
-                        }
-                        let bytes = if issued < big {
-                            self.big_bytes
-                        } else {
-                            self.half_bytes
-                        };
-                        ops.push(ScriptOp::IoAsync(IoRequest::read(f, bytes)));
-                        issued += 1;
-                        outstanding += 1;
-                    }
-                    for _ in 0..outstanding {
-                        ops.push(ScriptOp::WaitOldest);
-                        ops.push(op_compute(self.decode_compute));
-                    }
-                }
-                ops.push(ScriptOp::Broadcast {
-                    root: 0,
-                    bytes: self.data_volume(),
-                    group: 0,
-                });
-                // Frame loop from the resume point, with epoch commits.
-                ops.push(op_open(ctl, AccessMode::MUnix));
-                if skip > 0 {
-                    // Skip the view records of recovered frames.
-                    ops.push(ScriptOp::Io(IoRequest::seek(
-                        ctl,
-                        (self.init_view_reads + skip) as u64 * self.view_bytes,
-                    )));
-                }
-                ops.push(op_open(ck, AccessMode::MUnix));
-                for i in skip..self.frames {
-                    ops.push(ScriptOp::Io(IoRequest::read(ctl, self.view_bytes)));
-                    ops.push(ScriptOp::Broadcast {
-                        root: 0,
-                        bytes: self.view_bytes,
-                        group: 0,
-                    });
-                    for sender in 1..self.nodes {
-                        ops.push(ScriptOp::Recv {
-                            from: sender,
-                            tag: 1000 + i,
-                        });
-                    }
-                    let out = self.frame_file(i);
-                    ops.push(op_open(out, AccessMode::MUnix));
-                    let head = self.frame_small_writes / 2 + self.frame_small_writes % 2;
-                    for _ in 0..head {
-                        ops.push(ScriptOp::Io(IoRequest::write(out, self.frame_small_bytes)));
-                    }
-                    ops.push(ScriptOp::Io(IoRequest::write(out, self.frame_bytes)));
-                    for _ in head..self.frame_small_writes {
-                        ops.push(ScriptOp::Io(IoRequest::write(out, self.frame_small_bytes)));
-                    }
-                    let done = i + 1;
-                    let boundary = done % interval == 0 || done == self.frames;
-                    if boundary {
-                        // The frame's data must be durable before it closes
-                        // and the boundary record commits.
-                        ops.push(ScriptOp::Io(IoRequest::sync(out)));
-                    }
-                    ops.push(ScriptOp::Io(IoRequest::close(out)));
-                    if boundary {
-                        ops.extend(plan.commit_ops(0, done.div_ceil(interval), &[]));
-                    }
-                }
-                ops.push(ScriptOp::Io(IoRequest::close(ck)));
-            } else {
-                ops.push(ScriptOp::Broadcast {
-                    root: 0,
-                    bytes: self.data_volume(),
-                    group: 0,
-                });
-                for i in skip..self.frames {
-                    ops.push(ScriptOp::Broadcast {
-                        root: 0,
-                        bytes: self.view_bytes,
-                        group: 0,
-                    });
-                    ops.push(op_compute(self.render_compute));
-                    ops.push(ScriptOp::Send {
-                        to: 0,
-                        bytes: partial_bytes,
-                        tag: 1000 + i,
-                    });
-                }
-            }
-            scripts.push(ops);
-        }
-
-        let label = if resume_epoch == 0 {
-            "render-ckpt".to_string()
-        } else {
-            format!("render-ckpt-resume{resume_epoch}")
-        };
-        CheckpointedWorkload {
-            workload: Workload {
-                label,
-                files: specs,
-                scripts,
-                groups: Vec::new(),
-            },
-            plan,
         }
     }
 

@@ -52,7 +52,6 @@ pub mod predict;
 pub mod reduce;
 pub mod sddf;
 pub mod stats;
-pub mod summary;
 pub mod timeline;
 pub mod trace;
 

@@ -1,5 +1,4 @@
-//! Off-line statistics: summary statistics, request-size distributions, and
-//! quantiles.
+//! Off-line statistics: summary statistics and request-size distributions.
 //!
 //! The paper's general statistics (§3.1: "means, variances, minima, maxima,
 //! and distributions of file operation durations and sizes") are computed
@@ -189,111 +188,6 @@ impl SizeHistogram {
     }
 }
 
-/// Exact quantiles over a stored sample (fine at characterization scale).
-#[derive(Debug, Clone, Default)]
-pub struct Quantiles {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Quantiles {
-    /// Empty sample.
-    pub fn new() -> Quantiles {
-        Quantiles::default()
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.values.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by the nearest-rank method.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            // `total_cmp` is a total order, so a stray NaN cannot scramble
-            // the sort the way `partial_cmp(..).unwrap_or(Equal)` could
-            // (NaNs sort to the ends instead of corrupting their
-            // neighborhood). Observations are expected to be finite.
-            debug_assert!(
-                self.values.iter().all(|v| v.is_finite()),
-                "non-finite quantile observation"
-            );
-            self.values.sort_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((q * self.values.len() as f64).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        Some(self.values[idx])
-    }
-
-    /// Median shorthand.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-}
-
-/// Power-of-two histogram for free-form distributions (durations, gaps).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Pow2Histogram {
-    /// `bins[i]` counts values `v` with `2^(i-1) <= v < 2^i` (bin 0: `v == 0`
-    /// or `v == 1` land in bins 0/1 respectively via `ilog2`).
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Pow2Histogram {
-    /// Empty histogram.
-    pub fn new() -> Pow2Histogram {
-        Pow2Histogram::default()
-    }
-
-    /// Count one value.
-    pub fn push(&mut self, v: u64) {
-        let bin = if v == 0 { 0 } else { v.ilog2() as usize + 1 };
-        if self.bins.len() <= bin {
-            self.bins.resize(bin + 1, 0);
-        }
-        self.bins[bin] += 1;
-        self.count += 1;
-    }
-
-    /// Total values counted.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Bin counts, lowest power first.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Index of the most populated bin, if any values were counted.
-    pub fn mode_bin(&self) -> Option<usize> {
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,57 +299,5 @@ mod tests {
         b.push(KB4);
         a.merge(&b);
         assert_eq!(a.as_row(), [1, 1, 0, 1]);
-    }
-
-    #[test]
-    fn quantiles_nearest_rank() {
-        let mut q = Quantiles::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            q.push(v);
-        }
-        assert_eq!(q.median(), Some(3.0));
-        assert_eq!(q.quantile(0.0), Some(1.0));
-        assert_eq!(q.quantile(1.0), Some(5.0));
-        assert_eq!(q.quantile(0.2), Some(1.0));
-        assert_eq!(Quantiles::new().median(), None);
-    }
-
-    #[test]
-    fn quantiles_total_order_handles_signed_zero_and_negatives() {
-        // total_cmp orders -0.0 < +0.0 and negatives correctly — the cases a
-        // partial_cmp fallback could silently misorder.
-        let mut q = Quantiles::new();
-        for v in [0.0, -1.5, -0.0, 7.0, -3.0] {
-            q.push(v);
-        }
-        assert_eq!(q.quantile(0.0), Some(-3.0));
-        assert_eq!(q.median(), Some(-0.0));
-        assert_eq!(q.quantile(1.0), Some(7.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite quantile observation")]
-    #[cfg(debug_assertions)]
-    fn quantiles_reject_nan_in_debug() {
-        let mut q = Quantiles::new();
-        q.push(f64::NAN);
-        let _ = q.median();
-    }
-
-    #[test]
-    fn pow2_histogram_bins() {
-        let mut h = Pow2Histogram::new();
-        h.push(0); // bin 0
-        h.push(1); // bin 1
-        h.push(2); // bin 2
-        h.push(3); // bin 2
-        h.push(1024); // bin 11
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[1], 1);
-        assert_eq!(h.bins()[2], 2);
-        assert_eq!(h.bins()[11], 1);
-        assert_eq!(h.mode_bin(), Some(2));
-        assert_eq!(Pow2Histogram::new().mode_bin(), None);
     }
 }

@@ -394,12 +394,6 @@ impl<S: IoService> Engine<S> {
         &self.service
     }
 
-    /// Mutable access to the service (fault injection mid-run is done by
-    /// wrapping programs; this is for post-run extraction).
-    pub fn service_mut(&mut self) -> &mut S {
-        &mut self.service
-    }
-
     /// Consume the engine, returning the service.
     pub fn into_service(self) -> S {
         self.service
