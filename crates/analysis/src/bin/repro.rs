@@ -1,14 +1,17 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
-//! ```text
-//! repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] [--log-mb MB] [--drain-mbps R]
-//!       [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|all]...
-//! ```
+//! `repro [OPTIONS] [SUITE|all]...` runs the named suites in order (`all`,
+//! the default, runs every one). `repro --help` prints the usage line,
+//! which is generated from [`SUITES`] — the one place suite names are
+//! written — so it always lists every suite and option.
 //!
 //! Paper-scale runs (`escat`, `render`, `htf`) use the 128-node Caltech
 //! Paragon partition and the `paper()` parameters; `--fast` substitutes the
 //! scaled-down parameters (for smoke tests). Outputs land in `results/`
-//! (override with `--out`): one `.txt` report and one `.csv` per figure.
+//! (override with `--out`): one `.txt` report per suite and one `.csv` per
+//! figure or sweep. `--crash-frac`, `--log-mb` and `--drain-mbps` override
+//! the `recover`/`blog` scenarios; `--chaos-seed` and `--cells` set the
+//! `chaos` campaign.
 //!
 //! `--jobs N` (or the `SIO_JOBS` environment variable) bounds the worker
 //! pool every sweep fans out over; the default is the host's available
@@ -18,9 +21,10 @@
 //! `--perf` enables the process-wide performance counters
 //! (`sio_core::perf`) and appends a `== perf counters ==` block after the
 //! experiments finish: engine events, heap/channel peaks, trace volume, and
-//! per-experiment wall times. The counters aggregate with sums and maxima
-//! only, so they are identical for any `--jobs` value; the phase wall times
-//! measure the host and are the one non-deterministic line.
+//! per-suite wall times (one phase per suite, named as in [`SUITES`]). The
+//! counters aggregate with sums and maxima only, so they are identical for
+//! any `--jobs` value; the phase wall times measure the host and are the
+//! one non-deterministic line.
 
 use paragon_sim::MachineConfig;
 use sio_analysis::burst;
@@ -34,27 +38,44 @@ use sio_analysis::runner;
 use sio_apps::{EscatParams, HtfParams, RenderParams};
 use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Every experiment name `repro` accepts.
-const EXPERIMENTS: [&str; 13] = [
-    "escat",
-    "render",
-    "htf",
-    "ppfs-ablation",
-    "crossover",
-    "ablations",
-    "scaling",
-    "faults",
-    "recover",
-    "cio",
-    "blog",
-    "chaos",
-    "all",
+/// A suite: its name (also its `--perf` phase name) and its driver.
+type Suite = (&'static str, fn(&Cli));
+
+/// Every suite, in `repro all` order.
+const SUITES: [Suite; 12] = [
+    ("escat", run_escat),
+    ("render", run_render),
+    ("htf", run_htf),
+    ("ppfs-ablation", run_ppfs_ablation),
+    ("crossover", run_crossover),
+    ("ablations", run_ablations),
+    ("scaling", run_scaling),
+    ("faults", run_faults),
+    ("recover", run_recover),
+    ("cio", run_cio),
+    ("blog", run_blog),
+    ("chaos", run_chaos),
 ];
 
-const USAGE: &str = "usage: repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] \
-     [--log-mb MB] [--drain-mbps R] [--chaos-seed N] [--cells N] \
-     [escat|render|htf|ppfs-ablation|crossover|ablations|scaling|faults|recover|cio|blog|chaos|all]...";
+/// Every name `repro` accepts: the suites in table order, then `all`.
+fn names() -> Vec<&'static str> {
+    SUITES
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["all"])
+        .collect()
+}
+
+/// The usage line `--help` and every rejected argument list print.
+fn usage() -> String {
+    format!(
+        "usage: repro [--fast] [--perf] [--jobs N] [--out DIR] [--crash-frac F] \
+         [--log-mb MB] [--drain-mbps R] [--chaos-seed N] [--cells N] [{}]...",
+        names().join("|")
+    )
+}
 
 /// Why an argument list was rejected. A typed error rather than a bare
 /// message: tests assert on the failure class and the offending option,
@@ -93,7 +114,7 @@ impl fmt::Display for CliError {
                 f,
                 "unknown experiment '{}' (expected one of: {})",
                 e,
-                EXPERIMENTS.join(", ")
+                names().join(", ")
             ),
         }
     }
@@ -124,6 +145,28 @@ struct Cli {
     what: Vec<String>,
 }
 
+/// Take the value of `option` from `args` and parse it as a `T` that
+/// satisfies `ok`. A missing, unparsable or rejected value is a typed
+/// error quoting `expected`.
+fn parse_opt<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    option: &'static str,
+    expected: &'static str,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, CliError> {
+    let got = args
+        .next()
+        .ok_or(CliError::MissingValue { option, expected })?;
+    match got.parse::<T>() {
+        Ok(v) if ok(&v) => Ok(v),
+        _ => Err(CliError::InvalidValue {
+            option,
+            expected,
+            got,
+        }),
+    }
+}
+
 /// Parse and validate an argument list. Every rejection is a typed
 /// [`CliError`] naming the bad argument and what would be accepted; the
 /// caller prints it and exits non-zero.
@@ -141,112 +184,46 @@ fn parse_args_from(argv: impl IntoIterator<Item = String>) -> Result<Cli, CliErr
         cells: None,
         what: Vec::new(),
     };
-    let mut args = argv.into_iter();
-    let value = |args: &mut dyn Iterator<Item = String>,
-                 option: &'static str,
-                 expected: &'static str|
-     -> Result<String, CliError> {
-        args.next()
-            .ok_or(CliError::MissingValue { option, expected })
-    };
+    let args = &mut argv.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--fast" => cli.fast = true,
             "--perf" => cli.perf = true,
             "-h" | "--help" => cli.help = true,
             "--jobs" => {
-                let expected = "a positive integer";
-                let v = value(&mut args, "--jobs", expected)?;
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => cli.jobs = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--jobs",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                let n = parse_opt::<usize>(args, "--jobs", "a positive integer", |&n| n > 0)?;
+                cli.jobs = Some(n);
             }
-            "--out" => {
-                let dir = value(&mut args, "--out", "a directory argument")?;
-                cli.out = PathBuf::from(dir);
-            }
+            "--out" => cli.out = parse_opt(args, "--out", "a directory argument", |_| true)?,
             "--crash-frac" => {
                 let expected = "a fraction in (0, 1]";
-                let v = value(&mut args, "--crash-frac", expected)?;
-                match v.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f <= 1.0 => cli.crash_frac = Some(f),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--crash-frac",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                let f = parse_opt::<f64>(args, "--crash-frac", expected, |&f| f > 0.0 && f <= 1.0)?;
+                cli.crash_frac = Some(f);
             }
             "--log-mb" => {
                 let expected = "a positive whole number of megabytes";
-                let v = value(&mut args, "--log-mb", expected)?;
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => cli.log_mb = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--log-mb",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.log_mb = Some(parse_opt::<u64>(args, "--log-mb", expected, |&n| n > 0)?);
             }
             "--drain-mbps" => {
                 let expected = "a positive finite MB/s rate";
-                let v = value(&mut args, "--drain-mbps", expected)?;
-                match v.parse::<f64>() {
-                    Ok(r) if r > 0.0 && r.is_finite() => cli.drain_mbps = Some(r),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--drain-mbps",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                let r = parse_opt::<f64>(args, "--drain-mbps", expected, |&r| {
+                    r > 0.0 && r.is_finite()
+                })?;
+                cli.drain_mbps = Some(r);
             }
             "--chaos-seed" => {
                 let expected = "a 64-bit unsigned integer";
-                let v = value(&mut args, "--chaos-seed", expected)?;
-                match v.parse::<u64>() {
-                    Ok(n) => cli.chaos_seed = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--chaos-seed",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.chaos_seed = Some(parse_opt::<u64>(args, "--chaos-seed", expected, |_| true)?);
             }
             "--cells" => {
                 let expected = "a positive cell count";
-                let v = value(&mut args, "--cells", expected)?;
-                match v.parse::<u32>() {
-                    Ok(n) if n > 0 => cli.cells = Some(n),
-                    _ => {
-                        return Err(CliError::InvalidValue {
-                            option: "--cells",
-                            expected,
-                            got: v,
-                        })
-                    }
-                }
+                cli.cells = Some(parse_opt::<u32>(args, "--cells", expected, |&n| n > 0)?);
             }
             other if other.starts_with('-') => {
                 return Err(CliError::UnknownOption(other.to_string()));
             }
             other => {
-                if !EXPERIMENTS.contains(&other) {
+                if !names().contains(&other) {
                     return Err(CliError::UnknownExperiment(other.to_string()));
                 }
                 cli.what.push(other.to_string());
@@ -263,7 +240,7 @@ fn parse_args() -> Cli {
     match parse_args_from(std::env::args().skip(1)) {
         Ok(cli) => {
             if cli.help {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 std::process::exit(0);
             }
             if let Some(n) = cli.jobs {
@@ -276,7 +253,7 @@ fn parse_args() -> Cli {
         }
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     }
@@ -290,8 +267,8 @@ fn machine(fast: bool) -> MachineConfig {
     }
 }
 
-/// The three applications' parameters for the multi-app suites: paper
-/// scale, or the scaled-down `--fast` set.
+/// The three applications' parameters: paper scale, or the scaled-down
+/// `--fast` set.
 fn app_params(fast: bool) -> (EscatParams, RenderParams, HtfParams) {
     if fast {
         (
@@ -319,13 +296,26 @@ fn report_body(cli: &Cli) -> String {
     }
 }
 
+/// Write a suite's report to `<out>/<file>.txt` and print it.
+fn emit(cli: &Cli, file: &str, body: &str) {
+    report::write_text(&cli.out, file, body).expect("write report");
+    println!("{body}");
+}
+
+/// Write `<out>/<name>.csv`: the header line, then one line per row.
+fn write_csv(cli: &Cli, name: &str, header: &str, rows: impl Iterator<Item = String>) {
+    let rows: Vec<String> = rows.collect();
+    report::write_csv(&cli.out, name, header, &rows).expect("write csv");
+}
+
+/// Run one suite under its `--perf` phase timer.
+fn run(cli: &Cli, (name, suite): Suite) {
+    let _phase = sio_core::perf::phase(name);
+    suite(cli);
+}
+
 fn run_escat(cli: &Cli) {
-    let _phase = sio_core::perf::phase("escat");
-    let params = if cli.fast {
-        EscatParams::small(8, 8)
-    } else {
-        EscatParams::paper()
-    };
+    let (params, _, _) = app_params(cli.fast);
     eprintln!(
         "[repro] escat: {} nodes, {} iterations...",
         params.nodes, params.iters
@@ -367,17 +357,11 @@ fn run_escat(cli: &Cli) {
     figures::write_window_csv(&win, &cli.out, "escat-window-10s").expect("window csv");
     let region = figures::region_series(&a.out.trace, 7, 64 * 1024);
     figures::write_region_csv(&region, &cli.out, "escat-staging-regions").expect("region csv");
-    report::write_text(&cli.out, "escat", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "escat", &body);
 }
 
 fn run_render(cli: &Cli) {
-    let _phase = sio_core::perf::phase("render");
-    let params = if cli.fast {
-        RenderParams::small(8, 4)
-    } else {
-        RenderParams::paper()
-    };
+    let (_, params, _) = app_params(cli.fast);
     eprintln!(
         "[repro] render: {} nodes, {} frames...",
         params.nodes, params.frames
@@ -416,17 +400,11 @@ fn run_render(cli: &Cli) {
     a.figures.write_all(&cli.out).expect("write figures");
     let win = figures::window_series(&a.out.trace, 5.0);
     figures::write_window_csv(&win, &cli.out, "render-window-5s").expect("window csv");
-    report::write_text(&cli.out, "render", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "render", &body);
 }
 
 fn run_htf(cli: &Cli) {
-    let _phase = sio_core::perf::phase("htf");
-    let params = if cli.fast {
-        HtfParams::small(8)
-    } else {
-        HtfParams::paper()
-    };
+    let (_, _, params) = app_params(cli.fast);
     eprintln!("[repro] htf: {} nodes, 3-program pipeline...", params.nodes);
     let a = experiments::htf(&machine(cli.fast), &params);
     let mut body = report_body(cli);
@@ -489,17 +467,11 @@ fn run_htf(cli: &Cli) {
         let win = figures::window_series(trace, width);
         figures::write_window_csv(&win, &cli.out, name).expect("window csv");
     }
-    report::write_text(&cli.out, "htf", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "htf", &body);
 }
 
 fn run_ppfs_ablation(cli: &Cli) {
-    let _phase = sio_core::perf::phase("ppfs-ablation");
-    let params = if cli.fast {
-        EscatParams::small(8, 8)
-    } else {
-        EscatParams::paper()
-    };
+    let (params, _, _) = app_params(cli.fast);
     eprintln!("[repro] ppfs ablation (ESCAT on PFS vs PPFS)...");
     let r = experiments::ppfs_ablation(&machine(cli.fast), &params);
     let body = report_body(cli)
@@ -518,12 +490,10 @@ fn run_ppfs_ablation(cli: &Cli) {
                 r.flush_extents,
             ),
         );
-    report::write_text(&cli.out, "ppfs_ablation", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "ppfs_ablation", &body);
 }
 
 fn run_crossover(cli: &Cli) {
-    let _phase = sio_core::perf::phase("crossover");
     eprintln!("[repro] htf read-vs-recompute crossover...");
     let rows = experiments::htf_crossover_paper();
     let mut b = String::new();
@@ -538,28 +508,21 @@ fn run_crossover(cli: &Cli) {
         ));
     }
     let body = report::section("X3 — §7.2 integral read vs recompute crossover", &b);
-    let csv_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "htf_crossover",
+        "rate_mb_s,read_us,compute_us,io_preferred",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{}",
                 r.io_rate_mb_s, r.read_us, r.compute_us, r.io_preferred
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "htf_crossover",
-        "rate_mb_s,read_us,compute_us,io_preferred",
-        &csv_rows,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "htf_crossover", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "htf_crossover", &body);
 }
 
 fn run_scaling(cli: &Cli) {
-    let _phase = sio_core::perf::phase("scaling");
     eprintln!("[repro] scaling studies (S1 weak scaling, S2 data growth)...");
     let mut body = report_body(cli);
 
@@ -575,14 +538,10 @@ fn run_scaling(cli: &Cli) {
     };
     let rows = experiments::escat_scaling_jobs(&big_machine, counts, runner::configured_jobs());
     let mut b = String::new();
-    b.push_str(
-        "nodes   io node-time(s)   wall(s)   io share of node-time
-",
-    );
+    b.push_str("nodes   io node-time(s)   wall(s)   io share of node-time\n");
     for r in &rows {
         b.push_str(&format!(
-            "{:>5} {:>17.1} {:>9.0} {:>10.2}%
-",
+            "{:>5} {:>17.1} {:>9.0} {:>10.2}%\n",
             r.nodes,
             r.io_secs,
             r.wall_secs,
@@ -593,22 +552,17 @@ fn run_scaling(cli: &Cli) {
         "S1 — ESCAT weak scaling (same per-node work, 16 I/O nodes)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "escat_scaling",
+        "nodes,io_secs,wall_secs,io_fraction",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{}",
                 r.nodes, r.io_secs, r.wall_secs, r.io_fraction
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "escat_scaling",
-        "nodes,io_secs,wall_secs,io_fraction",
-        &csv,
-    )
-    .expect("csv");
+        }),
+    );
 
     let params = if cli.fast {
         EscatParams::small(8, 6)
@@ -623,14 +577,10 @@ fn run_scaling(cli: &Cli) {
         runner::configured_jobs(),
     );
     let mut b = String::new();
-    b.push_str(
-        "scale   write volume(B)   io share   wall(s)
-",
-    );
+    b.push_str("scale   write volume(B)   io share   wall(s)\n");
     for r in &rows {
         b.push_str(&format!(
-            "{:>5}x {:>17} {:>9.2}% {:>9.0}
-",
+            "{:>5}x {:>17} {:>9.2}% {:>9.0}\n",
             r.scale,
             r.write_volume,
             r.io_fraction * 100.0,
@@ -641,29 +591,22 @@ fn run_scaling(cli: &Cli) {
         "S2 — ESCAT quadrature growth (S5.2: O(N^3) data at fixed compute)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "escat_growth",
+        "scale,write_volume,io_fraction,wall_secs",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{}",
                 r.scale, r.write_volume, r.io_fraction, r.wall_secs
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "escat_growth",
-        "scale,write_volume,io_fraction,wall_secs",
-        &csv,
-    )
-    .expect("csv");
+        }),
+    );
 
-    report::write_text(&cli.out, "scaling", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "scaling", &body);
 }
 
 fn run_faults(cli: &Cli) {
-    let _phase = sio_core::perf::phase("faults");
     let m = machine(cli.fast);
     let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] fault suite (X4: degraded / rebuild / stalls / crash)...");
@@ -695,9 +638,11 @@ fn run_faults(cli: &Cli) {
         "X4 — fault-injection suite (timed RAID rebuild, stalls, crash + failover)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "faults",
+        "workload,scenario,wall_secs,read_secs,write_secs,retries,failovers,lost_segments,timeouts,rebuilt_mb,degraded_at_end,dirty_bytes_lost,replayed_segments",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.workload,
@@ -714,21 +659,12 @@ fn run_faults(cli: &Cli) {
                 r.dirty_bytes_lost,
                 r.replayed_segments
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "faults",
-        "workload,scenario,wall_secs,read_secs,write_secs,retries,failovers,lost_segments,timeouts,rebuilt_mb,degraded_at_end,dirty_bytes_lost,replayed_segments",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "faults", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "faults", &body);
 }
 
 fn run_cio(cli: &Cli) {
-    let _phase = sio_core::perf::phase("cio");
     let m = machine(cli.fast);
     let (ep, rp, hp) = app_params(cli.fast);
     let scales: &[u32] = if cli.fast { &[4, 8] } else { &[64, 128] };
@@ -758,9 +694,11 @@ fn run_cio(cli: &Cli) {
         "X6 — collective two-phase I/O (request shape per I/O node, exchange cost)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "cio",
+        "workload,backend,nodes,wall_secs,write_reqs_per_io,mean_write_kb,read_reqs_per_io,mean_read_kb,exchange_secs,collectives",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{},{},{},{},{},{},{}",
                 r.workload,
@@ -774,21 +712,12 @@ fn run_cio(cli: &Cli) {
                 r.exchange_secs,
                 r.collectives
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "cio",
-        "workload,backend,nodes,wall_secs,write_reqs_per_io,mean_write_kb,read_reqs_per_io,mean_read_kb,exchange_secs,collectives",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "cio", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "cio", &body);
 }
 
 fn run_recover(cli: &Cli) {
-    let _phase = sio_core::perf::phase("recover");
     let m = machine(cli.fast);
     let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] recovery suite (X5: checkpoint interval x crash scenario)...");
@@ -829,9 +758,11 @@ fn run_recover(cli: &Cli) {
         "X5 — crash/recovery suite (checkpoint commit protocol, restart from last durable epoch)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "recover",
+        "workload,interval,scenario,durable_epoch,epochs,commits_valid,commits_torn,ckpt_wall_secs,overhead_pct,crash_secs,recovery_secs,total_secs,rerun_secs,saved_secs,lost_work_mb",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.workload,
@@ -850,21 +781,12 @@ fn run_recover(cli: &Cli) {
                 r.saved_secs,
                 r.lost_work_mb
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "recover",
-        "workload,interval,scenario,durable_epoch,epochs,commits_valid,commits_torn,ckpt_wall_secs,overhead_pct,crash_secs,recovery_secs,total_secs,rerun_secs,saved_secs,lost_work_mb",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "recover", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "recover", &body);
 }
 
 fn run_blog(cli: &Cli) {
-    let _phase = sio_core::perf::phase("blog");
     let m = machine(cli.fast);
     let (ep, rp, hp) = app_params(cli.fast);
     eprintln!("[repro] burst-buffer suite (X7: log tier over pfs/ppfs/cio)...");
@@ -908,9 +830,11 @@ fn run_blog(cli: &Cli) {
         "X7 — burst-buffer tier (log-speed commits, crash-consistent drain, recovery replay)",
         &b,
     ));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "blog",
+        "workload,inner,log_mb,drain_mbps,crash_frac,commit_ms,direct_commit_ms,commit_speedup,wall_secs,direct_wall_secs,durable_epoch,direct_epoch,epochs,pending_mb,replay_secs,ttr_secs,direct_ttr_secs,lost_mb,direct_lost_mb,occ_peak_mb,stall_secs",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.workload,
@@ -935,21 +859,12 @@ fn run_blog(cli: &Cli) {
                 r.occ_peak_mb,
                 r.stall_secs
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "blog",
-        "workload,inner,log_mb,drain_mbps,crash_frac,commit_ms,direct_commit_ms,commit_speedup,wall_secs,direct_wall_secs,durable_epoch,direct_epoch,epochs,pending_mb,replay_secs,ttr_secs,direct_ttr_secs,lost_mb,direct_lost_mb,occ_peak_mb,stall_secs",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "blog", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "blog", &body);
 }
 
 fn run_chaos(cli: &Cli) {
-    let _phase = sio_core::perf::phase("chaos");
     let m = machine(cli.fast);
     let (ep, rp, hp) = app_params(cli.fast);
     let seed = cli.chaos_seed.unwrap_or(42);
@@ -1009,9 +924,11 @@ fn run_chaos(cli: &Cli) {
     ));
     body.push_str(&report::section("X8 — per-domain summary", &b));
 
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
+    write_csv(
+        cli,
+        "chaos",
+        "cell,workload,backend,domains,events,crash_frac,healthy_wall_secs,wall_secs,slowdown,ops,faulted,availability,p99_ms,retries,failovers,unavailable,timeouts,durable_epoch,epochs,hang_clean,typed_ok,conserved,cut_ok",
+        rows.iter().map(|r| {
             format!(
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.cell,
@@ -1038,22 +955,13 @@ fn run_chaos(cli: &Cli) {
                 r.conserved,
                 r.cut_ok
             )
-        })
-        .collect();
-    report::write_csv(
-        &cli.out,
-        "chaos",
-        "cell,workload,backend,domains,events,crash_frac,healthy_wall_secs,wall_secs,slowdown,ops,faulted,availability,p99_ms,retries,failovers,unavailable,timeouts,durable_epoch,epochs,hang_clean,typed_ok,conserved,cut_ok",
-        &csv,
-    )
-    .expect("write csv");
-    report::write_text(&cli.out, "chaos", &body).expect("write report");
-    println!("{body}");
+        }),
+    );
+    emit(cli, "chaos", &body);
     assert_eq!(violations, 0, "chaos campaign found invariant violations");
 }
 
 fn run_ablations(cli: &Cli) {
-    let _phase = sio_core::perf::phase("ablations");
     let m = machine(cli.fast);
     eprintln!("[repro] ablations (A1 modes, A2 policies, A3 queue, A4 raid)...");
     let mut body = report_body(cli);
@@ -1151,48 +1059,25 @@ fn run_ablations(cli: &Cli) {
         &b,
     ));
 
-    report::write_text(&cli.out, "ablations", &body).expect("write report");
-    println!("{body}");
+    emit(cli, "ablations", &body);
 }
 
 fn main() {
     let cli = parse_args();
-    for what in cli.what.clone() {
-        match what.as_str() {
-            "escat" => run_escat(&cli),
-            "render" => run_render(&cli),
-            "htf" => run_htf(&cli),
-            "ppfs-ablation" => run_ppfs_ablation(&cli),
-            "crossover" => run_crossover(&cli),
-            "ablations" => run_ablations(&cli),
-            "scaling" => run_scaling(&cli),
-            "faults" => run_faults(&cli),
-            "recover" => run_recover(&cli),
-            "cio" => run_cio(&cli),
-            "blog" => run_blog(&cli),
-            "chaos" => run_chaos(&cli),
-            "all" => {
-                // Independent experiments fan out over the sweep runner;
-                // each simulation is single-threaded and deterministic, so
-                // parallelism changes nothing but wall time.
-                let cli = &cli;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                    Box::new(move || run_escat(cli)),
-                    Box::new(move || run_render(cli)),
-                    Box::new(move || run_htf(cli)),
-                    Box::new(move || run_ppfs_ablation(cli)),
-                    Box::new(move || run_crossover(cli)),
-                    Box::new(move || run_ablations(cli)),
-                    Box::new(move || run_scaling(cli)),
-                    Box::new(move || run_faults(cli)),
-                    Box::new(move || run_recover(cli)),
-                    Box::new(move || run_cio(cli)),
-                    Box::new(move || run_blog(cli)),
-                    Box::new(move || run_chaos(cli)),
-                ];
-                runner::par_run(runner::configured_jobs(), tasks);
-            }
-            other => unreachable!("experiment '{other}' validated in parse_args"),
+    for what in &cli.what {
+        if what == "all" {
+            // Independent suites fan out over the sweep runner; each
+            // simulation is single-threaded and deterministic, so
+            // parallelism changes nothing but wall time.
+            runner::par_map_jobs(runner::configured_jobs(), SUITES.to_vec(), |_, suite| {
+                run(&cli, suite)
+            });
+        } else {
+            let suite = SUITES.iter().find(|(name, _)| name == what);
+            run(
+                &cli,
+                *suite.expect("suite names are validated in parse_args"),
+            );
         }
     }
     if cli.perf {
@@ -1204,6 +1089,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn parse(args: &[&str]) -> Result<Cli, CliError> {
         parse_args_from(args.iter().map(|s| s.to_string()))
@@ -1421,5 +1307,52 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn suite_table_names_every_experiment_once() {
+        let names = names();
+        let suites: Vec<&str> = SUITES.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, [suites.as_slice(), &["all"]].concat(), "table order");
+        let distinct: BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "a name is listed twice");
+        for name in &names {
+            assert_eq!(parse(&[name]).unwrap().what, vec![*name]);
+        }
+        // The usage line's experiment list and the unknown-experiment
+        // message both name every one, in table order.
+        let usage = usage();
+        let listed = usage.rsplit('[').next().unwrap().trim_end_matches("]...");
+        assert_eq!(listed.split('|').collect::<Vec<_>>(), names, "{usage}");
+        let err = CliError::UnknownExperiment("x".to_string()).to_string();
+        let listed = err.split("expected one of: ").nth(1).unwrap();
+        let listed = listed.trim_end_matches(')');
+        assert_eq!(listed.split(", ").collect::<Vec<_>>(), names, "{err}");
+    }
+
+    #[test]
+    fn usage_lists_every_option_the_parser_accepts() {
+        // Every option literal in the parser's source appears in the usage
+        // line (`--help` prints that line, so it needs no entry of its
+        // own), and every option the usage line names parses.
+        let src = include_str!("repro.rs");
+        let start = src.find("fn parse_args_from").unwrap();
+        let end = start + src[start..].find("\nfn ").unwrap();
+        let accepted: BTreeSet<&str> = src[start..end]
+            .split('"')
+            .filter(|s| s.starts_with("--") && *s != "--help")
+            .collect();
+        assert_eq!(accepted.len(), 9, "{accepted:?}");
+        let usage = usage();
+        for option in accepted {
+            assert!(usage.contains(&format!("[{option}")), "{option}: {usage}");
+        }
+        for named in usage.split("[--").skip(1) {
+            let option = format!("--{}", named.split([' ', ']']).next().unwrap());
+            assert!(
+                !matches!(parse(&[&option]), Err(CliError::UnknownOption(_))),
+                "usage names {option}, which the parser rejects"
+            );
+        }
     }
 }

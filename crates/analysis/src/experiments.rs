@@ -250,17 +250,16 @@ pub struct CrossoverRow {
     pub io_preferred: bool,
 }
 
-/// Sweep per-node I/O rates and report the crossover (X3), on `jobs`
-/// workers.
-pub fn htf_crossover_jobs(
+/// Per-node I/O rates `rates_mb_s` against the read-vs-recompute
+/// crossover (X3): one closed-form row per rate, in input order.
+pub fn htf_crossover(
     integral_bytes: f64,
     flops_per_integral: f64,
     flop_rate: f64,
     rates_mb_s: &[f64],
-    jobs: usize,
-) -> Vec<CrossoverRow> {
+) -> impl Iterator<Item = CrossoverRow> + '_ {
     let compute_us = flops_per_integral / flop_rate * 1e6;
-    runner::par_map_jobs(jobs, rates_mb_s.to_vec(), |_, r| {
+    rates_mb_s.iter().map(move |&r| {
         let read_us = integral_bytes / (r * 1e6) * 1e6;
         CrossoverRow {
             io_rate_mb_s: r,
@@ -274,13 +273,13 @@ pub fn htf_crossover_jobs(
 /// The paper's crossover sweep: ~100-byte integrals, 500 flops each, a
 /// 20 MFLOPS sustained node.
 pub fn htf_crossover_paper() -> Vec<CrossoverRow> {
-    htf_crossover_jobs(
+    htf_crossover(
         100.0,
         500.0,
         20.0e6,
         &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0],
-        runner::configured_jobs(),
     )
+    .collect()
 }
 
 /// A1: access-mode cost ablation row.

@@ -235,12 +235,6 @@ fn take_forced_spawn_failure() -> bool {
         .is_ok()
 }
 
-/// Run a batch of heterogeneous tasks (e.g. the `repro all` experiment
-/// drivers) on up to `jobs` workers.
-pub fn par_run<'a>(jobs: usize, tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-    par_map_jobs(jobs, tasks, |_, task| task());
-}
-
 /// Render a panic payload the way the default hook would.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -378,20 +372,5 @@ mod tests {
         assert_eq!(configured_jobs(), 3);
         set_jobs(0);
         assert!(configured_jobs() >= 1);
-    }
-
-    #[test]
-    fn par_run_executes_every_task() {
-        use std::sync::atomic::AtomicU32;
-        static HITS: AtomicU32 = AtomicU32::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = (0..5)
-            .map(|_| {
-                Box::new(|| {
-                    HITS.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        par_run(3, tasks);
-        assert_eq!(HITS.load(Ordering::Relaxed), 5);
     }
 }

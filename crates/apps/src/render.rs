@@ -29,7 +29,7 @@ use sio_pfs::{AccessMode, FileSpec};
 /// RENDER workload parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RenderParams {
-    /// Total nodes: gateway (node 0) + renderers.
+    /// Total nodes: gateway (node 0) + renderers, so at least 2.
     pub nodes: u32,
     /// Terrain data files.
     pub data_files: u32,
@@ -167,6 +167,11 @@ impl RenderParams {
     /// frame loop and, on a resumed plan, starts every node's loop past the
     /// recovered frames; everything else is the same program.
     fn build(&self, label: &str, ckpt: Option<&CheckpointPlan>) -> Workload {
+        assert!(
+            self.nodes >= 2,
+            "RENDER needs at least 2 nodes (one gateway and at least one renderer), got {}",
+            self.nodes
+        );
         let skip = ckpt.map_or(0, |plan| plan.units_at(plan.start_epoch, self.frames));
         let mut specs: Vec<FileSpec> = Vec::new();
         for k in 0..self.data_files {
@@ -403,6 +408,18 @@ mod tests {
                 .count();
             assert_eq!(big_writes, 1, "frame {i}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one gateway and at least one renderer")]
+    fn single_node_run_is_rejected() {
+        let _ = RenderParams::small(1, 2).workload();
+    }
+
+    #[test]
+    #[should_panic(expected = "one gateway and at least one renderer")]
+    fn single_node_checkpointed_run_is_rejected() {
+        let _ = RenderParams::small(1, 2).workload_checkpointed(1, 0);
     }
 
     #[test]

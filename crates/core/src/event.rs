@@ -165,11 +165,6 @@ impl IoEvent {
         self.end.saturating_sub(self.start)
     }
 
-    /// Duration in (fractional) seconds, for report formatting.
-    pub fn duration_secs(&self) -> f64 {
-        self.duration() as f64 / NS_PER_SEC
-    }
-
     /// Validate internal consistency (`end >= start`).
     pub fn validate(&self) -> crate::Result<()> {
         if self.end < self.start {

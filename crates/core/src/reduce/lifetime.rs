@@ -71,11 +71,6 @@ impl LifetimeReducer {
         self.files.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Number of distinct files touched.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Close out any still-open handles at time `now`, charging their open
     /// time. Call at end of run for programs that never close some files
     /// (RENDER leaves its data files open).
@@ -149,7 +144,6 @@ mod tests {
         assert_eq!(f7.last_access_ns, Some(55));
 
         assert_eq!(r.file(8).unwrap().bytes_written, 9);
-        assert_eq!(r.file_count(), 2);
         assert!(r.file(99).is_none());
     }
 

@@ -71,28 +71,6 @@ impl WindowReducer {
     pub fn at(&self, t: Ns) -> Option<&WindowAgg> {
         self.windows.get((t / self.width_ns) as usize)
     }
-
-    /// Indices of windows whose total op count is a local burst: at least
-    /// `min_ops` operations and strictly greater than both neighbors. Used to
-    /// find the synchronized ESCAT write clusters of Figure 4.
-    pub fn burst_windows(&self, min_ops: u64) -> Vec<usize> {
-        let w = &self.windows;
-        (0..w.len())
-            .filter(|&i| {
-                let c = w[i].total_ops();
-                if c < min_ops {
-                    return false;
-                }
-                let prev = if i > 0 { w[i - 1].total_ops() } else { 0 };
-                let next = if i + 1 < w.len() {
-                    w[i + 1].total_ops()
-                } else {
-                    0
-                };
-                c > prev && c >= next
-            })
-            .collect()
-    }
 }
 
 impl Reducer for WindowReducer {
@@ -137,21 +115,6 @@ mod tests {
         let mut r = WindowReducer::new(10);
         r.observe(&ev(IoOp::AsyncRead, 0, 64));
         assert_eq!(r.windows()[0].bytes_read(), 64);
-    }
-
-    #[test]
-    fn burst_detection_finds_clusters() {
-        let mut r = WindowReducer::new(10);
-        // Bursts at windows 2 and 6, noise elsewhere.
-        for t in [20, 21, 22, 23, 24] {
-            r.observe(&ev(IoOp::Write, t, 1));
-        }
-        r.observe(&ev(IoOp::Write, 40, 1));
-        for t in [60, 61, 62, 63] {
-            r.observe(&ev(IoOp::Write, t, 1));
-        }
-        let bursts = r.burst_windows(3);
-        assert_eq!(bursts, vec![2, 6]);
     }
 
     #[test]

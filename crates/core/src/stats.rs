@@ -91,11 +91,6 @@ impl SummaryStats {
         }
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (`None` when empty).
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)

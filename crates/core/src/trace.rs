@@ -83,16 +83,6 @@ impl Trace {
         self.events.iter().map(|e| e.duration()).sum()
     }
 
-    /// Earliest event start, if any.
-    pub fn first_start(&self) -> Option<Ns> {
-        self.events.iter().map(|e| e.start).min()
-    }
-
-    /// Latest event end, if any.
-    pub fn last_end(&self) -> Option<Ns> {
-        self.events.iter().map(|e| e.end).max()
-    }
-
     /// Merge several traces (e.g. the three HTF programs) into one, keeping
     /// event order by start time. The label of the merged trace is given by
     /// the caller; `nodes` is the max of the parts and `wall_ns` the sum
@@ -142,13 +132,10 @@ pub struct TraceSink {
     /// Per-node append buffers of (global capture seq, event).
     lanes: Vec<Vec<(u64, IoEvent)>>,
     next_seq: u64,
-    /// Per-event capture cost the traced program should absorb (models
-    /// Pablo's capture perturbation; 0 = ideal).
-    overhead_ns: Ns,
 }
 
 impl TraceSink {
-    /// New sink with perturbation-free capture.
+    /// New, empty sink.
     pub fn new(label: &str) -> TraceSink {
         TraceSink {
             meta: TraceMeta {
@@ -157,18 +144,6 @@ impl TraceSink {
             },
             ..TraceSink::default()
         }
-    }
-
-    /// New sink charging `overhead_ns` of instrumentation cost per event.
-    pub fn with_overhead(label: &str, overhead_ns: Ns) -> TraceSink {
-        let mut s = TraceSink::new(label);
-        s.overhead_ns = overhead_ns;
-        s
-    }
-
-    /// Per-event capture cost the instrumented program should absorb.
-    pub fn overhead(&self) -> Ns {
-        self.overhead_ns
     }
 
     /// Record one event into its node's lane.
@@ -233,20 +208,13 @@ struct TraceInner {
 }
 
 /// Capture-side handle. Cheap to clone; all clones feed one trace.
-///
-/// A `Tracer` may model the *perturbation* the paper discusses in §3.1: if a
-/// per-event capture overhead is configured, [`Tracer::overhead`] reports the
-/// extra time the caller should charge to the instrumented program.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     inner: Arc<Mutex<TraceInner>>,
-    /// Per-event capture cost, charged to the traced program (0 = ideal,
-    /// perturbation-free capture).
-    overhead_ns: Ns,
 }
 
 impl Tracer {
-    /// New tracer with perturbation-free capture.
+    /// New, empty tracer.
     pub fn new(label: &str) -> Tracer {
         Tracer {
             inner: Arc::new(Mutex::new(TraceInner {
@@ -256,21 +224,7 @@ impl Tracer {
                 },
                 events: Vec::new(),
             })),
-            overhead_ns: 0,
         }
-    }
-
-    /// New tracer that charges `overhead_ns` of instrumentation cost per
-    /// captured event (models Pablo's capture perturbation).
-    pub fn with_overhead(label: &str, overhead_ns: Ns) -> Tracer {
-        let mut t = Tracer::new(label);
-        t.overhead_ns = overhead_ns;
-        t
-    }
-
-    /// Per-event capture cost the instrumented program should absorb.
-    pub fn overhead(&self) -> Ns {
-        self.overhead_ns
     }
 
     /// Record one event.
@@ -327,8 +281,6 @@ mod tests {
         assert_eq!(trace.meta().nodes, 4);
         assert_eq!(trace.data_volume(), 150);
         assert_eq!(trace.node_time(), 30);
-        assert_eq!(trace.first_start(), Some(0));
-        assert_eq!(trace.last_end(), Some(30));
     }
 
     #[test]
@@ -376,12 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn sink_empty_and_overhead() {
+    fn sink_empty() {
         let s = TraceSink::new("e");
         assert!(s.is_empty());
-        assert_eq!(s.overhead(), 0);
         assert!(s.finish().is_empty());
-        assert_eq!(TraceSink::with_overhead("o", 250).overhead(), 250);
     }
 
     #[test]
@@ -402,13 +352,6 @@ mod tests {
         let trace = t.finish();
         assert_eq!(trace.of_op(IoOp::Read).count(), 2);
         assert_eq!(trace.of_op(IoOp::Seek).count(), 0);
-    }
-
-    #[test]
-    fn overhead_configured() {
-        let t = Tracer::with_overhead("t", 500);
-        assert_eq!(t.overhead(), 500);
-        assert_eq!(Tracer::new("t").overhead(), 0);
     }
 
     #[test]
@@ -441,8 +384,6 @@ mod tests {
     fn empty_trace_queries() {
         let trace = Tracer::new("e").finish();
         assert!(trace.is_empty());
-        assert_eq!(trace.first_start(), None);
-        assert_eq!(trace.last_end(), None);
         assert_eq!(trace.node_time(), 0);
     }
 }

@@ -164,11 +164,6 @@ impl Mesh {
         a.0.abs_diff(b.0) + a.1.abs_diff(b.1)
     }
 
-    /// Hop count from a compute node to an I/O node.
-    pub fn compute_to_io_hops(&self, node: NodeId, io_node: u32) -> u32 {
-        Mesh::hops(self.compute_pos(node), self.io_pos(io_node))
-    }
-
     /// Hop count between two compute nodes.
     pub fn compute_hops(&self, a: NodeId, b: NodeId) -> u32 {
         Mesh::hops(self.compute_pos(a), self.compute_pos(b))
@@ -283,7 +278,6 @@ mod tests {
         assert_eq!(Mesh::hops((2, 2), (2, 2)), 0);
         let m = Mesh::for_nodes(16, 2);
         assert_eq!(m.compute_hops(0, 0), 0);
-        assert!(m.compute_to_io_hops(0, 0) >= 1);
     }
 
     #[test]

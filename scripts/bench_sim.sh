@@ -6,7 +6,8 @@
 #     `engine/dispatch_128k_events` bench),
 #   * burst-log drain throughput (frames through the append/GC/replay
 #     cycle per second in the `blog/drain_cycle_10k_frames` bench), and
-#   * wall time of a full `repro all` at paper scale (perf counters off).
+#   * wall time of a full `repro all` at paper scale (perf counters off),
+#     at the default `--jobs` (the host's core count) and at `--jobs 1`.
 #
 # Each is sampled BENCH_REPS times (default 3) and the best sample kept —
 # on a shared machine the minimum is the closest estimate of the true cost.
@@ -70,17 +71,26 @@ done
 
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
-ms_samples=()
-for _ in $(seq "$REPS"); do
-    start=$(date +%s%N)
-    ./target/release/repro --out "$out_dir" all >/dev/null 2>&1
-    ms=$((($(date +%s%N) - start) / 1000000))
-    echo "[bench_sim] repro all sample: ${ms} ms" >&2
-    ms_samples+=("$ms")
-done
+# Best-of-REPS wall time of `repro all`, in ms; extra args go to repro.
+time_repro_all() {
+    local best=""
+    for _ in $(seq "$REPS"); do
+        local start ms
+        start=$(date +%s%N)
+        ./target/release/repro "$@" --out "$out_dir" all >/dev/null 2>&1
+        ms=$((($(date +%s%N) - start) / 1000000))
+        echo "[bench_sim] repro ${*:+$* }all sample: ${ms} ms" >&2
+        if [ -z "$best" ] || [ "$ms" -lt "$best" ]; then
+            best=$ms
+        fi
+    done
+    echo "$best"
+}
+ms=$(time_repro_all)
+ms_j1=$(time_repro_all --jobs 1)
 
 MODE="$MODE" NOTE="$NOTE" \
-    EPS_SAMPLES="${eps_samples[*]}" MS_SAMPLES="${ms_samples[*]}" \
+    EPS_SAMPLES="${eps_samples[*]}" MS="$ms" MS_J1="$ms_j1" \
     DRAIN_SAMPLES="${drain_samples[*]}" \
     HOST_CPUS="$(nproc 2>/dev/null || echo 1)" \
     REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
@@ -89,7 +99,8 @@ MODE="$MODE" NOTE="$NOTE" \
 import json, os, sys
 
 eps = max(int(s) for s in os.environ["EPS_SAMPLES"].split())
-ms = min(int(s) for s in os.environ["MS_SAMPLES"].split())
+ms = int(os.environ["MS"])
+ms_j1 = int(os.environ["MS_J1"])
 drain = max(int(s) for s in os.environ["DRAIN_SAMPLES"].split())
 host_cpus = int(os.environ["HOST_CPUS"])
 entry = {
@@ -100,6 +111,7 @@ entry = {
     "host_cpus": host_cpus,
     "drain_frames_per_sec": drain,
     "repro_all_ms": ms,
+    "repro_all_j1_ms": ms_j1,
 }
 if os.environ["NOTE"]:
     entry["note"] = os.environ["NOTE"]
@@ -109,13 +121,14 @@ if os.path.exists(path):
     with open(path) as f:
         doc = json.load(f)
 else:
-    doc = {
-        "bench": "sim",
-        "schema": "history[]: best-of-N samples; engine bench is "
-        "engine/dispatch_128k_events (128k events/iter); repro_all_ms is "
-        "wall time of `repro all` at paper scale, counters disabled",
-        "history": [],
-    }
+    doc = {"bench": "sim", "history": []}
+doc["schema"] = (
+    "history[]: best-of-N samples; engine bench is "
+    "engine/dispatch_128k_events (128k events/iter); repro_all_ms is "
+    "wall time of `repro all` at paper scale at the default --jobs "
+    "(host_cpus workers), repro_all_j1_ms the same at --jobs 1; "
+    "counters disabled"
+)
 
 mode = os.environ["MODE"]
 if mode == "check":
@@ -130,6 +143,11 @@ if mode == "check":
         f"floor {floor:.0f}: {verdict}"
     )
     print(f"[bench_sim] repro all: {ms} ms (baseline {base['repro_all_ms']} ms)")
+    if "repro_all_j1_ms" in base:
+        print(
+            f"[bench_sim] repro --jobs 1 all: {ms_j1} ms "
+            f"(baseline {base['repro_all_j1_ms']} ms)"
+        )
     if "drain_frames_per_sec" in base:
         print(
             f"[bench_sim] drain: {drain} frames/s "

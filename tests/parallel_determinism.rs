@@ -40,9 +40,6 @@ fn scaling_sweeps_are_worker_count_invariant() {
     assert_jobs_invariant("escat_growth", |jobs| {
         experiments::escat_growth_jobs(&machine, &params, &[1, 2, 4], jobs)
     });
-    assert_jobs_invariant("htf_crossover", |jobs| {
-        experiments::htf_crossover_jobs(100.0, 500.0, 20e6, &[0.1, 1.0, 10.0, 100.0], jobs)
-    });
 }
 
 #[test]
