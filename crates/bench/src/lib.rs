@@ -1,7 +1,7 @@
 //! # sio-bench — benchmark harness
 //!
 //! Criterion benchmarks, one group per reproduced artifact plus micro
-//! benchmarks of the hot substrate paths. Three targets:
+//! benchmarks of the hot substrate paths. Four targets:
 //!
 //! * `tables` — regenerates each paper table at full 128-node scale per
 //!   iteration (T1/T2, T3/T4, T5/T6) and checks the headline counts;
@@ -9,6 +9,9 @@
 //!   A2 policy matrix, A3 queue discipline, A4 RAID degraded mode);
 //! * `micro` — engine event throughput, stripe mapping, block cache,
 //!   write-behind buffer, classifier/predictor, and SDDF codec.
+//! * `reference` — a fixed discrete-event kernel that uses no simulator
+//!   crate: the host-speed yardstick `scripts/bench_sim.sh` scales the
+//!   engine number by.
 //!
 //! Run with `cargo bench --workspace`.
 

@@ -15,8 +15,9 @@
 //!   compute the conforming partition ([`crate::partition`]) of the
 //!   aggregate request into stripe-aligned file domains, and shuffle member
 //!   data to one elected aggregator per touched I/O node (cost: the
-//!   longest member→aggregator mesh message). The whole phase is a real
-//!   simulated delay, traced as an `I/O Wait` interval on the lead node.
+//!   longest member→aggregator mesh message over each member's nonzero
+//!   domain shares). The whole phase is a real simulated delay, traced as
+//!   an `I/O Wait` interval on the lead node.
 //! * **phase 2: aggregated dispatch** — each aggregator issues *one large
 //!   sequential transfer per file domain*; the whole collective is one
 //!   [`Request`] under the core's buddy-failover lifecycle, the one PFS
@@ -53,15 +54,16 @@ use sio_fskit::mode::AccessMode;
 use sio_fskit::pump::FailoverPolicy;
 use sio_fskit::{Fired, FsCore, Member, Members, Request, Staging, SHORT_PATH};
 
-use crate::partition::{self, Domain, Extent};
+use crate::partition::{self, Extent};
 
 /// Assumed wire size of one extent descriptor in the phase-1 allgather.
 const DESCRIPTOR_BYTES: u64 = 64;
 
 /// How a gathered member's file offset is fixed.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum OffsetSpec {
     /// Resolved at issue time (M_UNIX, M_ASYNC, M_RECORD, M_LOG).
+    #[default]
     At,
     /// Shared pointer, assigned in node-rank order at formation (M_SYNC).
     Ordered,
@@ -81,7 +83,9 @@ struct Bucket {
 /// among them kept current so the trigger check is O(1) per arrival.
 #[derive(Debug, Default)]
 struct Gather {
-    members: Vec<(OffsetSpec, Member)>,
+    /// The first member's spec: it fixes every member's offset.
+    spec: OffsetSpec,
+    members: Vec<Member>,
     /// Bit per node with a member here.
     seen: Vec<u64>,
     /// Distinct nodes among `members`.
@@ -90,6 +94,9 @@ struct Gather {
 
 impl Gather {
     fn push(&mut self, spec: OffsetSpec, m: Member) {
+        if self.members.is_empty() {
+            self.spec = spec;
+        }
         let (word, bit) = (m.node as usize / 64, 1u64 << (m.node % 64));
         if word >= self.seen.len() {
             self.seen.resize(word + 1, 0);
@@ -98,24 +105,67 @@ impl Gather {
             self.seen[word] |= bit;
             self.nodes += 1;
         }
-        self.members.push((spec, m));
+        self.members.push(m);
     }
 
-    /// Take every member, leaving the gather empty.
-    fn take(&mut self) -> Vec<(OffsetSpec, Member)> {
-        self.seen.fill(0);
-        self.nodes = 0;
-        std::mem::take(&mut self.members)
+    /// Swap every member into `to` (an empty buffer the gather keeps),
+    /// leaving the gather empty. When more than one node contributed, their
+    /// ids go to `ids`, ascending. Returns the spec and node count.
+    fn take(&mut self, to: &mut Vec<Member>, ids: &mut Vec<NodeId>) -> (OffsetSpec, usize) {
+        debug_assert!(to.is_empty(), "the spare member buffer is in use");
+        std::mem::swap(&mut self.members, to);
+        ids.clear();
+        for (w, word) in self.seen.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while self.nodes > 1 && bits != 0 {
+                ids.push(w as NodeId * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        (self.spec, std::mem::take(&mut self.nodes))
     }
 }
 
-/// A formed collective waiting out its phase-1 exchange delay.
+/// A formed collective, dispatched now or after its exchange delay.
 #[derive(Debug)]
 struct Formed {
     file: u32,
     write: bool,
+    members: Members,
+    domains: Vec<Segment>,
+}
+
+/// Formation buffers, reused so steady-state formation allocates nothing.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// The members being formed; an empty spare between rounds.
     members: Vec<Member>,
-    domains: Vec<Domain>,
+    /// Distinct contributing nodes, ascending: the aggregator electorate.
+    electorate: Vec<NodeId>,
+    /// Member extents, merged in place into their union.
+    extents: Vec<Extent>,
+    /// The conforming partition; lent to a [`Formed`] until it dispatches.
+    domains: Vec<Segment>,
+    /// One member's per-node runs, for its domain shares.
+    runs: Vec<Segment>,
+}
+
+impl Buffers {
+    /// The formed collective over the live members and the partition.
+    fn formed(&mut self, file: u32, write: bool) -> Formed {
+        let members = match self.members[..] {
+            [m] => Members::One(m),
+            _ => Members::Many(std::mem::take(&mut self.members)),
+        };
+        self.members.clear();
+        let domains = std::mem::take(&mut self.domains);
+        Formed {
+            file,
+            write,
+            members,
+            domains,
+        }
+    }
 }
 
 /// Collective-machinery counters.
@@ -145,6 +195,7 @@ pub struct Cio {
     gather: FastMap<u32, Bucket>,
     /// Collectives waiting out their exchange delay (timer id → group).
     exchange: FastMap<u64, Formed>,
+    buf: Buffers,
     stats: CioStats,
 }
 
@@ -174,6 +225,7 @@ impl Cio {
             core: FsCore::new(machine, sink, schedule, failover, 0),
             gather: FastMap::default(),
             exchange: FastMap::default(),
+            buf: Buffers::default(),
             stats: CioStats::default(),
         }
     }
@@ -215,37 +267,26 @@ impl Cio {
                 .complete_data(sched, file, true, &m, now, 0, None);
             return;
         }
-        let domains = partition::partition(&self.core.cfg.layout, &[Extent { offset, bytes }]);
-        let x = Formed {
-            file,
-            write: true,
-            members: vec![m],
-            domains,
-        };
+        let (buf, e) = (&mut self.buf, Extent { offset, bytes });
+        partition::domains(&self.core.cfg.layout, &[e], &mut buf.domains);
+        buf.members.push(m);
+        let x = buf.formed(file, true);
         self.dispatch_collective(now, x, sched);
     }
 
     /// Phase 2: issue the collective as one request, one aggregated
-    /// sequential transfer per file domain.
+    /// sequential transfer per file domain; the domain buffer comes back.
     fn dispatch_collective(&mut self, now: SimTime, x: Formed, sched: &mut Sched) {
-        let runs: Vec<Segment> = x
-            .domains
-            .iter()
-            .map(|d| Segment {
-                io_node: d.io_node,
-                local_offset: d.local_offset,
-                bytes: d.bytes,
-            })
-            .collect();
-        let req = Request::new(x.file, x.write, Members::Many(x.members));
+        let req = Request::new(x.file, x.write, x.members);
         let (exchange, gather) = (&self.exchange, &self.gather);
         let held = |f| held_writes(exchange, gather, f);
         if self
             .core
-            .issue(now, req, Staging::Runs(&runs), sched, &held)
+            .issue(now, req, Staging::Runs(&x.domains), sched, &held)
         {
-            self.stats.aggregated_extents += runs.len() as u64;
+            self.stats.aggregated_extents += x.domains.len() as u64;
         }
+        self.buf.domains = x.domains;
     }
 
     /// Complete a finished collective: every member pays its own client
@@ -259,6 +300,10 @@ impl Cio {
             core.recorder
                 .complete_data(sched, req.file, req.write, m, done, m.bytes, req.fault);
         }
+        if let Members::Many(mut v) = req.members {
+            v.clear();
+            self.buf.members = v;
+        }
         self.drain_syncs(req.file, now, sched);
     }
 
@@ -270,47 +315,41 @@ impl Cio {
             .drain_syncs(file, now, sched, &|f| held_writes(exchange, gather, f));
     }
 
-    /// Form a collective from gathered members: resolve offsets, clamp
-    /// byte counts, compute the conforming partition, charge the phase-1
-    /// exchange, and dispatch (immediately for singletons, after the
-    /// exchange delay otherwise).
+    /// Form a collective from the members taken into `buf` from `p` nodes:
+    /// resolve offsets, clamp byte counts, compute the conforming
+    /// partition, charge the phase-1 exchange, and dispatch (immediately
+    /// for singletons, after the exchange delay otherwise).
     fn form_collective(
         &mut self,
         file: u32,
         write: bool,
-        gathered: Vec<(OffsetSpec, Member)>,
-        forced: bool,
+        (spec, p): (OffsetSpec, usize),
         now: SimTime,
         sched: &mut Sched,
     ) {
-        // Distinct participating nodes, sorted: the aggregator electorate.
-        let mut parts: Vec<NodeId> = gathered.iter().map(|(_, m)| m.node).collect();
-        parts.sort_unstable();
-        parts.dedup();
-        let p = parts.len();
-        if forced && p < self.core.files.get(file).opener_count() {
-            self.stats.flushed_partial += 1;
-        }
+        let Cio { core, buf, .. } = self;
+        let count = buf.members.len() as u64;
+        let extent = |m: &Member| Extent {
+            offset: m.offset,
+            bytes: m.bytes,
+        };
 
         // Resolve offsets. `Ordered` assigns the shared pointer in
         // node-rank order; `Same` advances it once for the whole group.
-        let spec = gathered[0].0;
-        let count = gathered.len() as u64;
-        let mut members: Vec<Member> = gathered.into_iter().map(|(_, m)| m).collect();
-        let st = self.core.files.state(file);
+        let st = core.files.state(file);
         match spec {
             OffsetSpec::At => {}
             OffsetSpec::Ordered => {
-                members.sort_by_key(|m| st.rank_of(m.node));
-                for m in &mut members {
+                buf.members.sort_by_key(|m| st.rank_of(m.node));
+                for m in &mut buf.members {
                     m.offset = st.shared_pos;
                     st.shared_pos += m.bytes;
                 }
             }
             OffsetSpec::Same => {
-                let bytes = members[0].bytes;
-                debug_assert!(members.iter().all(|m| m.bytes == bytes));
-                for m in &mut members {
+                let bytes = buf.members[0].bytes;
+                debug_assert!(buf.members.iter().all(|m| m.bytes == bytes));
+                for m in &mut buf.members {
                     m.offset = st.shared_pos;
                 }
                 st.shared_pos += bytes;
@@ -319,9 +358,7 @@ impl Cio {
 
         // Clamp: writes extend the file, reads clamp to EOF. Members left
         // with nothing to move complete on the short software path.
-        let mut live: Vec<Member> = Vec::with_capacity(members.len());
-        for mut m in members {
-            let st = self.core.files.state(file);
+        buf.members.retain_mut(|m| {
             if write {
                 st.extend_to(m.offset + m.bytes);
             } else {
@@ -329,50 +366,38 @@ impl Cio {
             }
             if m.bytes == 0 {
                 let done = now + SHORT_PATH;
-                self.core
-                    .recorder
-                    .complete_data(sched, file, write, &m, done, 0, None);
-            } else {
-                live.push(m);
+                core.recorder
+                    .complete_data(sched, file, write, m, done, 0, None);
             }
-        }
-        if live.is_empty() {
+            m.bytes > 0
+        });
+        if buf.members.is_empty() {
             self.drain_syncs(file, now, sched);
             return;
         }
 
         // The conforming partition of the aggregate request.
-        let extents: Vec<Extent> = live
-            .iter()
-            .map(|m| Extent {
-                offset: m.offset,
-                bytes: m.bytes,
-            })
-            .collect();
-        let domains = partition::partition(&self.core.cfg.layout, &extents);
-        let pending = Formed {
-            file,
-            write,
-            members: live,
-            domains,
-        };
+        buf.extents.clear();
+        buf.extents.extend(buf.members.iter().map(extent));
+        let cfg = &core.cfg;
+        partition::partition(&cfg.layout, &mut buf.extents, &mut buf.domains);
 
         if p <= 1 {
             // Solo opener: a singleton collective has nothing to exchange.
             self.stats.singletons += 1;
-            self.dispatch_collective(now, pending, sched);
+            let x = buf.formed(file, write);
+            self.dispatch_collective(now, x, sched);
             return;
         }
 
         // Phase 1: descriptor allgather over the mesh, then the data
-        // shuffle — every member ships its overlap with each domain to
-        // that domain's aggregator (writes) or receives it (reads); the
-        // phase ends when the longest member↔aggregator message lands.
+        // shuffle — every member ships its share of each domain to that
+        // domain's aggregator (writes) or receives it (reads); the phase
+        // ends when the longest member↔aggregator message lands.
         // Descriptor allgather touches every region, so it pays the worst
         // link quality in force; a healthy link state is bit-identical to
         // the plain broadcast.
-        let cfg = &self.core.cfg;
-        let links = &self.core.links;
+        let links = &core.links;
         let descriptors = cfg.mesh.broadcast_time_via(
             &cfg.comm,
             links.worst(),
@@ -380,54 +405,43 @@ impl Cio {
             DESCRIPTOR_BYTES * count,
         );
         let mut shuffle = SimDuration::ZERO;
-        for d in &pending.domains {
-            let aggregator = parts[d.io_node as usize % p];
-            for m in &pending.members {
-                if m.node == aggregator {
-                    continue;
-                }
-                let ov = d.overlap(Extent {
-                    offset: m.offset,
-                    bytes: m.bytes,
-                });
-                if ov > 0 {
+        for m in &buf.members {
+            let (runs, electorate) = (&mut buf.runs, &buf.electorate);
+            partition::shares(&cfg.layout, &buf.domains, extent(m), runs, |d, share| {
+                let aggregator = electorate[d.io_node as usize % p];
+                if m.node != aggregator {
                     let hops = cfg.mesh.compute_hops(m.node, aggregator);
                     // The shuffle message lands in the domain's I/O-node
                     // region: it pays that region's link quality.
                     let q = links.region(d.io_node);
-                    shuffle = shuffle.max(cfg.mesh.msg_time_via(&cfg.comm, q, hops, ov));
+                    shuffle = shuffle.max(cfg.mesh.msg_time_via(&cfg.comm, q, hops, share));
                 }
-            }
+            });
         }
         let exchange = descriptors + shuffle;
         let ready = now + exchange;
         self.stats.collectives += 1;
-        self.stats.members += pending.members.len() as u64;
+        self.stats.members += buf.members.len() as u64;
         self.stats.exchange += exchange;
 
         // The exchange is a real interval on the mesh: trace it on the
         // lead (lowest-numbered) participant, spanning formation → ready,
         // with the aggregate extent.
-        let union_lo = pending
-            .domains
-            .iter()
-            .flat_map(|d| d.pieces.first())
-            .map(|e| e.offset)
-            .min()
-            .unwrap_or(0);
-        let total: u64 = pending.domains.iter().map(|d| d.bytes).sum();
-        self.core.recorder.record(
-            IoEvent::new(parts[0], file, IoOp::IoWait)
+        let union_lo = buf.extents[0].offset;
+        let total: u64 = buf.extents.iter().map(|e| e.bytes).sum();
+        core.recorder.record(
+            IoEvent::new(buf.electorate[0], file, IoOp::IoWait)
                 .span(now.nanos(), ready.nanos())
                 .extent(union_lo, total),
         );
 
+        let x = buf.formed(file, write);
         if ready > now {
-            let id = self.core.timers.alloc();
-            self.exchange.insert(id, pending);
+            let id = core.timers.alloc();
+            self.exchange.insert(id, x);
             sched.timer(ready, id);
         } else {
-            self.dispatch_collective(now, pending, sched);
+            self.dispatch_collective(now, x, sched);
         }
     }
 
@@ -453,8 +467,11 @@ impl Cio {
         if gather.members.is_empty() || (!forced && gather.nodes < openers) {
             return;
         }
-        let taken = gather.take();
-        self.form_collective(file, write, taken, forced, now, sched);
+        let taken = gather.take(&mut self.buf.members, &mut self.buf.electorate);
+        if forced && taken.1 < openers {
+            self.stats.flushed_partial += 1;
+        }
+        self.form_collective(file, write, taken, now, sched);
     }
 
     /// Gather a data operation according to the file's mode, then check
@@ -718,6 +735,74 @@ mod tests {
         assert_eq!(waits[0].node, 0, "exchange traced on the lead member");
         assert_eq!(waits[0].duration(), exchange.nanos());
         assert_eq!(waits[0].bytes, 4 * 8192, "aggregate extent");
+    }
+
+    /// The member-driven shuffle cost is the piece walk's domain × member
+    /// loop: members straddling stripe units over a gapped union (several
+    /// domains per I/O node) charge the same exchange and trace the same
+    /// I/O-wait span.
+    #[test]
+    fn exchange_delay_matches_the_domain_by_member_oracle() {
+        let u = 64 * 1024;
+        let extents = [
+            (u - 1000, 3000),
+            (2 * u - 500, u + 1000),
+            (6 * u + 100, 2000),
+            (9 * u - 200, 400),
+        ];
+        let mk = |(offset, bytes): (u64, u64)| {
+            vec![
+                open(0, AccessMode::MUnix),
+                ScriptOp::Barrier(0),
+                ScriptOp::Io(IoRequest::seek(0, offset)),
+                ScriptOp::Io(IoRequest::write(0, bytes)),
+            ]
+        };
+        let m = machine();
+        let (engine, _) = run_engine(
+            &m,
+            vec![FileSpec::output("gapped")],
+            extents.iter().copied().map(mk).collect(),
+        );
+        let cio = engine.into_service();
+        let stats = cio.cio_stats();
+        assert_eq!((stats.collectives, stats.members), (1, 4));
+
+        let (cfg, links) = (&cio.core.cfg, &cio.core.links);
+        let members: Vec<Extent> = extents
+            .iter()
+            .map(|&(offset, bytes)| Extent { offset, bytes })
+            .collect();
+        let mut union = members.clone();
+        partition::union(&mut union);
+        let walk = partition::oracle::domains(&cfg.layout, &union);
+        assert!(walk.len() > m.io_nodes as usize, "union not gapped");
+        let mut shuffle = SimDuration::ZERO;
+        for d in &walk {
+            // Electorate: nodes 0..4, one aggregator per I/O node.
+            let aggregator = d.io_node % 4;
+            for (node, &e) in (0..4).zip(&members) {
+                let ov = d.overlap(e);
+                if node != aggregator && ov > 0 {
+                    let hops = cfg.mesh.compute_hops(node, aggregator);
+                    let q = links.region(d.io_node);
+                    shuffle = shuffle.max(cfg.mesh.msg_time_via(&cfg.comm, q, hops, ov));
+                }
+            }
+        }
+        let descriptors =
+            cfg.mesh
+                .broadcast_time_via(&cfg.comm, links.worst(), 4, DESCRIPTOR_BYTES * 4);
+        assert!(shuffle > SimDuration::ZERO);
+        assert_eq!(stats.exchange, descriptors + shuffle);
+
+        let trace = cio.core.finish_trace();
+        let waits: Vec<_> = trace.of_op(IoOp::IoWait).collect();
+        assert_eq!(waits.len(), 1);
+        assert_eq!(waits[0].node, 0);
+        assert_eq!(waits[0].duration(), stats.exchange.nanos());
+        let total: u64 = union.iter().map(|e| e.bytes).sum();
+        assert_eq!((waits[0].offset, waits[0].bytes), (u - 1000, total));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! stripe-aligned file domains, and elect one aggregator per touched I/O
 //! node to issue a single large sequential transfer for its domain.
 //!
-//! * [`partition`] — the pure conforming-partition computation: member
-//!   extents → sorted disjoint union → per-I/O-node aggregated domains
-//!   (maximal runs contiguous in node-local array space), independent of
-//!   extent arrival order;
+//! * [`partition`] — the conforming partition as closed-form stripe
+//!   arithmetic: member extents → sorted disjoint union → file domains
+//!   (per-I/O-node maximal runs contiguous in node-local array space) →
+//!   each member's nonzero domain shares, independent of arrival order;
 //! * [`fs`] — [`fs::Cio`], the [`paragon_sim::IoService`] implementation:
 //!   PFS's metadata semantics from the embedded `sio_fskit::FsCore` (the
 //!   same code PFS runs), a per-file gather that triggers when every opener has
@@ -33,4 +33,4 @@ pub use file::FileSpec;
 pub use fs::{Cio, CioStats};
 pub use layout::StripeLayout;
 pub use mode::AccessMode;
-pub use partition::{Domain, Extent};
+pub use partition::Extent;

@@ -2,15 +2,18 @@
 //!
 //! Participating nodes contribute byte extents; the partition merges them
 //! into their disjoint union and decomposes that union along the stripe
-//! grid into *file domains* — per-I/O-node aggregates, each a maximal run
-//! of stripe pieces that is contiguous in the owning node's local array
-//! space, so the aggregator can move it in one large sequential transfer.
+//! grid into *file domains*: per-I/O-node [`Segment`]s, each a maximal run
+//! contiguous in the owning node's local array space, so the aggregator
+//! can move it in one large sequential transfer. A node owns one domain per
+//! local-contiguous run of the union, so a gapped union can give it several.
 //!
-//! Everything here is pure arithmetic over sorted extents: the result
-//! depends only on the *set* of input extents, never on the order the
-//! extent descriptors arrived in (the property tests pin this down).
+//! Everything here is closed-form stripe arithmetic over sorted extents
+//! into caller-owned buffers: the result depends only on the *set* of input
+//! extents, never on the order the extent descriptors arrived in (the
+//! property tests pin this down, and check it against a unit-by-unit piece
+//! walk).
 
-use sio_fskit::layout::StripeLayout;
+use sio_fskit::layout::{Segment, StripeLayout};
 
 /// A half-open byte extent `[offset, offset + bytes)` of one file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -28,98 +31,142 @@ impl Extent {
     }
 }
 
-/// One aggregated file domain: a maximal run of stripe pieces owned by one
-/// I/O node and contiguous in that node's local array space — the unit of
-/// phase-2 transfer (one [`SegmentReq`] each).
-///
-/// [`SegmentReq`]: paragon_sim::ionode::SegmentReq
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Domain {
-    /// Owning I/O node.
-    pub io_node: u32,
-    /// First byte of the run in the file's node-local array space.
-    pub local_offset: u64,
-    /// Run length in bytes (sum of the pieces).
-    pub bytes: u64,
-    /// File-space pieces composing the run, ascending; each piece lies
-    /// within a single stripe unit of the owning node, and its boundaries
-    /// sit on stripe-unit multiples or union-extent edges.
-    pub pieces: Vec<Extent>,
+/// Merge `extents` in place into their sorted disjoint union (zero-length
+/// inputs vanish; adjacent extents coalesce).
+pub fn union(extents: &mut Vec<Extent>) {
+    extents.retain(|e| e.bytes > 0);
+    extents.sort_unstable();
+    extents.dedup_by(|next, last| {
+        let merge = next.offset <= last.end();
+        if merge {
+            last.bytes = last.end().max(next.end()) - last.offset;
+        }
+        merge
+    });
 }
 
-impl Domain {
-    /// Bytes of `e` covered by this domain's file-space pieces (the data a
-    /// member contributes to — or receives from — this aggregator).
-    pub fn overlap(&self, e: Extent) -> u64 {
-        self.pieces
+/// Decompose a disjoint sorted union (from [`union`]) into file domains in
+/// `out`, ascending by `(io_node, local_offset)`: each union extent's
+/// per-node segments, sorted once, with local-contiguous neighbours merged.
+pub fn domains(layout: &StripeLayout, union: &[Extent], out: &mut Vec<Segment>) {
+    out.clear();
+    for e in union {
+        layout.segments_into(e.offset, e.bytes, out);
+    }
+    // Disjoint extents map to disjoint local runs: the keys are distinct.
+    out.sort_unstable_by_key(|s| (s.io_node, s.local_offset));
+    out.dedup_by(|next, last| {
+        let merge =
+            next.io_node == last.io_node && last.local_offset + last.bytes == next.local_offset;
+        if merge {
+            last.bytes += next.bytes;
+        }
+        merge
+    });
+}
+
+/// [`union`] (in place) + [`domains`] (into `out`): the full conforming
+/// partition of a set of member extents.
+pub fn partition(layout: &StripeLayout, extents: &mut Vec<Extent>, out: &mut Vec<Segment>) {
+    union(extents);
+    domains(layout, extents, out);
+}
+
+/// Call `each(domain, bytes)` for every domain (from [`domains`]) that
+/// holds some of `member`'s bytes: the data the member ships to, or
+/// receives from, that domain's aggregator. The member's node-local run on
+/// each node it touches is binary-searched into the sorted domains, so only
+/// nonzero shares are visited. `runs` is scratch.
+pub fn shares(
+    layout: &StripeLayout,
+    domains: &[Segment],
+    member: Extent,
+    runs: &mut Vec<Segment>,
+    mut each: impl FnMut(&Segment, u64),
+) {
+    runs.clear();
+    layout.segments_into(member.offset, member.bytes, runs);
+    for r in runs.iter() {
+        let end = r.local_offset + r.bytes;
+        let first = domains.partition_point(|d| {
+            (d.io_node, d.local_offset + d.bytes) <= (r.io_node, r.local_offset)
+        });
+        for d in domains[first..]
             .iter()
-            .map(|p| p.end().min(e.end()).saturating_sub(p.offset.max(e.offset)))
-            .sum()
+            .take_while(|d| d.io_node == r.io_node && d.local_offset < end)
+        {
+            each(
+                d,
+                (d.local_offset + d.bytes).min(end) - d.local_offset.max(r.local_offset),
+            );
+        }
     }
 }
 
-/// Merge extents into their sorted disjoint union (zero-length inputs
-/// vanish; adjacent extents coalesce).
-pub fn union(extents: &[Extent]) -> Vec<Extent> {
-    let mut v: Vec<Extent> = extents.iter().copied().filter(|e| e.bytes > 0).collect();
-    v.sort_unstable();
-    let mut out: Vec<Extent> = Vec::new();
-    for e in v {
-        match out.last_mut() {
-            Some(last) if e.offset <= last.end() => {
-                let end = last.end().max(e.end());
-                last.bytes = end - last.offset;
+/// The unit-by-unit piece walk the closed form replaced: the reference the
+/// property tests and the exchange-cost test check against.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Extent;
+    use sio_fskit::layout::StripeLayout;
+
+    /// A file domain with the file-space pieces composing it, ascending;
+    /// each piece lies within a single stripe unit of the owning node.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Domain {
+        pub io_node: u32,
+        pub local_offset: u64,
+        pub bytes: u64,
+        pub pieces: Vec<Extent>,
+    }
+
+    impl Domain {
+        /// Bytes of `e` covered by this domain's pieces.
+        pub fn overlap(&self, e: Extent) -> u64 {
+            self.pieces
+                .iter()
+                .map(|p| p.end().min(e.end()).saturating_sub(p.offset.max(e.offset)))
+                .sum()
+        }
+    }
+
+    /// Cut every union extent into stripe-unit pieces, sort them by
+    /// `(io_node, local_offset)`, and merge local-contiguous neighbours.
+    pub fn domains(layout: &StripeLayout, union_extents: &[Extent]) -> Vec<Domain> {
+        let mut pieces: Vec<(u32, u64, Extent)> = Vec::new();
+        for e in union_extents {
+            let mut pos = e.offset;
+            while pos < e.end() {
+                let stop = ((pos / layout.unit + 1) * layout.unit).min(e.end());
+                pieces.push((
+                    layout.io_node_of(pos),
+                    layout.local_offset_of(pos),
+                    Extent {
+                        offset: pos,
+                        bytes: stop - pos,
+                    },
+                ));
+                pos = stop;
             }
-            _ => out.push(e),
         }
-    }
-    out
-}
-
-/// Decompose a disjoint sorted union (from [`union`]) into aggregated
-/// [`Domain`]s: walk each union extent along the stripe grid, then merge
-/// the per-node pieces that land contiguously in node-local array space.
-/// Domains come out ascending by `(io_node, local_offset)`.
-pub fn domains(layout: &StripeLayout, union_extents: &[Extent]) -> Vec<Domain> {
-    let mut pieces: Vec<(u32, u64, Extent)> = Vec::new();
-    for e in union_extents {
-        let mut pos = e.offset;
-        while pos < e.end() {
-            let stop = ((pos / layout.unit + 1) * layout.unit).min(e.end());
-            pieces.push((
-                layout.io_node_of(pos),
-                layout.local_offset_of(pos),
-                Extent {
-                    offset: pos,
-                    bytes: stop - pos,
-                },
-            ));
-            pos = stop;
-        }
-    }
-    pieces.sort_by_key(|&(io, local, _)| (io, local));
-    let mut out: Vec<Domain> = Vec::new();
-    for (io, local, pc) in pieces {
-        match out.last_mut() {
-            Some(d) if d.io_node == io && d.local_offset + d.bytes == local => {
-                d.bytes += pc.bytes;
-                d.pieces.push(pc);
+        pieces.sort_by_key(|&(io, local, _)| (io, local));
+        let mut out: Vec<Domain> = Vec::new();
+        for (io, local, pc) in pieces {
+            match out.last_mut() {
+                Some(d) if d.io_node == io && d.local_offset + d.bytes == local => {
+                    d.bytes += pc.bytes;
+                    d.pieces.push(pc);
+                }
+                _ => out.push(Domain {
+                    io_node: io,
+                    local_offset: local,
+                    bytes: pc.bytes,
+                    pieces: vec![pc],
+                }),
             }
-            _ => out.push(Domain {
-                io_node: io,
-                local_offset: local,
-                bytes: pc.bytes,
-                pieces: vec![pc],
-            }),
         }
+        out
     }
-    out
-}
-
-/// [`union`] + [`domains`] in one call: the full conforming partition of a
-/// set of member extents.
-pub fn partition(layout: &StripeLayout, extents: &[Extent]) -> Vec<Domain> {
-    domains(layout, &union(extents))
 }
 
 #[cfg(test)]
@@ -127,49 +174,61 @@ mod tests {
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    fn ext(offset: u64, bytes: u64) -> Extent {
+        Extent { offset, bytes }
+    }
+
+    fn to_extents(raw: &[(u64, u64)]) -> Vec<Extent> {
+        raw.iter()
+            .map(|&(offset, bytes)| ext(offset, bytes))
+            .collect()
+    }
+
+    fn union_of(extents: &[Extent]) -> Vec<Extent> {
+        let mut v = extents.to_vec();
+        union(&mut v);
+        v
+    }
+
+    fn partition_of(l: &StripeLayout, extents: &[Extent]) -> Vec<Segment> {
+        let (mut v, mut out) = (extents.to_vec(), Vec::new());
+        partition(l, &mut v, &mut out);
+        out
+    }
+
+    /// Every nonzero share of `member`, keyed by domain index.
+    fn shares_of(l: &StripeLayout, doms: &[Segment], member: Extent) -> BTreeMap<usize, u64> {
+        let mut out = BTreeMap::new();
+        shares(l, doms, member, &mut Vec::new(), |d, bytes| {
+            let i = doms.iter().position(|x| x == d).unwrap();
+            assert!(out.insert(i, bytes).is_none(), "domain {i} visited twice");
+        });
+        out
+    }
+
+    /// Every byte of `extents` keyed by where it lives:
+    /// `(io_node, local_offset)`.
+    fn local_map(l: &StripeLayout, extents: &[Extent]) -> BTreeMap<(u32, u64), u64> {
+        extents
+            .iter()
+            .flat_map(|e| e.offset..e.end())
+            .map(|b| ((l.io_node_of(b), l.local_offset_of(b)), b))
+            .collect()
+    }
 
     #[test]
     fn union_merges_overlap_and_adjacency() {
-        let u = union(&[
-            Extent {
-                offset: 10,
-                bytes: 10,
-            },
-            Extent {
-                offset: 0,
-                bytes: 5,
-            },
-            Extent {
-                offset: 5,
-                bytes: 5,
-            },
-            Extent {
-                offset: 15,
-                bytes: 10,
-            },
-            Extent {
-                offset: 40,
-                bytes: 0,
-            },
-            Extent {
-                offset: 50,
-                bytes: 1,
-            },
+        let u = union_of(&[
+            ext(10, 10),
+            ext(0, 5),
+            ext(5, 5),
+            ext(15, 10),
+            ext(40, 0),
+            ext(50, 1),
         ]);
-        assert_eq!(
-            u,
-            vec![
-                Extent {
-                    offset: 0,
-                    bytes: 25
-                },
-                Extent {
-                    offset: 50,
-                    bytes: 1
-                }
-            ]
-        );
+        assert_eq!(u, vec![ext(0, 25), ext(50, 1)]);
     }
 
     /// The paper's interleaved-writer shape: N nodes each writing one
@@ -179,13 +238,8 @@ mod tests {
     fn interleaved_full_cover_aggregates_to_one_domain_per_node() {
         let l = StripeLayout::new(64 * 1024, 4);
         // 8 writers × 4 units each, covering [0, 2 MB) exactly.
-        let extents: Vec<Extent> = (0..8u64)
-            .map(|n| Extent {
-                offset: n * 256 * 1024,
-                bytes: 256 * 1024,
-            })
-            .collect();
-        let doms = partition(&l, &extents);
+        let extents: Vec<Extent> = (0..8u64).map(|n| ext(n * 256 * 1024, 256 * 1024)).collect();
+        let doms = partition_of(&l, &extents);
         assert_eq!(doms.len(), 4);
         for (i, d) in doms.iter().enumerate() {
             assert_eq!(d.io_node as usize, i);
@@ -194,45 +248,46 @@ mod tests {
         }
     }
 
+    /// A node owns one domain per local-contiguous run, not one per node:
+    /// units 0 and 32 of a 16-node layout both land on node 0, at local
+    /// units 0 and 2, with local unit 1 (file unit 16) outside the union.
     #[test]
-    fn overlap_counts_member_bytes_inside_the_domain() {
-        let l = StripeLayout::new(1000, 2);
-        let doms = partition(
+    fn gapped_union_splits_a_node_into_two_domains() {
+        let unit = 64 * 1024;
+        let l = StripeLayout::pfs(16);
+        let run = |local, units| Segment {
+            io_node: 0,
+            local_offset: local * unit,
+            bytes: units * unit,
+        };
+        let doms = partition_of(&l, &[ext(0, unit), ext(32 * unit, unit)]);
+        assert_eq!(doms, vec![run(0, 1), run(2, 1)]);
+        // Filling the gap merges them into one run.
+        let doms = partition_of(
             &l,
-            &[Extent {
-                offset: 500,
-                bytes: 2000,
-            }],
+            &[ext(0, unit), ext(16 * unit, unit), ext(32 * unit, unit)],
         );
-        // Units 0 and 2 belong to node 0; unit 1 to node 1.
-        let total: u64 = doms
-            .iter()
-            .map(|d| {
-                d.overlap(Extent {
-                    offset: 500,
-                    bytes: 2000,
-                })
-            })
-            .sum();
-        assert_eq!(total, 2000);
-        let d0 = doms.iter().find(|d| d.io_node == 0).unwrap();
+        assert_eq!(doms, vec![run(0, 3)]);
+    }
+
+    #[test]
+    fn shares_count_member_bytes_inside_each_domain() {
+        let l = StripeLayout::new(1000, 2);
+        let doms = partition_of(&l, &[ext(500, 2000)]);
+        // Units 0 and 2 belong to node 0 (local [500, 1500)); unit 1 to
+        // node 1 (local [0, 1000)).
+        let seg = |io_node, local_offset, bytes| Segment {
+            io_node,
+            local_offset,
+            bytes,
+        };
+        assert_eq!(doms, vec![seg(0, 500, 1000), seg(1, 0, 1000)]);
+        let all = shares_of(&l, &doms, ext(500, 2000));
+        assert_eq!(all.values().sum::<u64>(), 2000);
         assert_eq!(
-            d0.overlap(Extent {
-                offset: 0,
-                bytes: 1000
-            }),
-            500
+            shares_of(&l, &doms, ext(0, 1000)),
+            BTreeMap::from([(0, 500)])
         );
-    }
-
-    fn to_extents(raw: &[(u64, u64)]) -> Vec<Extent> {
-        raw.iter()
-            .map(|&(offset, bytes)| Extent { offset, bytes })
-            .collect()
-    }
-
-    fn byte_set(extents: &[Extent]) -> BTreeSet<u64> {
-        extents.iter().flat_map(|e| e.offset..e.end()).collect()
     }
 
     proptest! {
@@ -241,19 +296,52 @@ mod tests {
         #[test]
         fn union_is_the_exact_disjoint_cover(raw in vec((0u64..6_000, 0u64..1_500), 1..24)) {
             let extents = to_extents(&raw);
-            let u = union(&extents);
+            let u = union_of(&extents);
             for w in u.windows(2) {
                 prop_assert!(w[0].end() < w[1].offset, "not disjoint/sorted: {:?}", w);
             }
             prop_assert!(u.iter().all(|e| e.bytes > 0));
+            let byte_set = |v: &[Extent]| -> BTreeSet<u64> {
+                v.iter().flat_map(|e| e.offset..e.end()).collect()
+            };
             prop_assert_eq!(byte_set(&u), byte_set(&extents));
         }
 
-        /// The computed file domains exactly cover the union with no
-        /// overlap, and every piece is stripe-conforming: it lies within a
-        /// single stripe unit of its domain's I/O node, breaks only at
-        /// stripe-unit multiples or union edges, and runs contiguously in
-        /// node-local array space.
+        /// The closed-form domains are the piece walk's, and each member's
+        /// shares are exactly the walk's nonzero overlaps, summing to the
+        /// member's bytes.
+        #[test]
+        fn closed_form_matches_the_piece_walk(
+            raw in vec((0u64..6_000, 0u64..1_500), 1..24),
+            unit in 1u64..700,
+            io_nodes in 1u32..7,
+        ) {
+            let extents = to_extents(&raw);
+            let l = StripeLayout::new(unit, io_nodes);
+            let doms = partition_of(&l, &extents);
+            let walk = oracle::domains(&l, &union_of(&extents));
+            prop_assert_eq!(
+                doms.iter().map(|d| (d.io_node, d.local_offset, d.bytes)).collect::<Vec<_>>(),
+                walk.iter().map(|d| (d.io_node, d.local_offset, d.bytes)).collect::<Vec<_>>()
+            );
+            for &m in &extents {
+                let got = shares_of(&l, &doms, m);
+                let want: BTreeMap<usize, u64> = walk
+                    .iter()
+                    .map(|d| d.overlap(m))
+                    .enumerate()
+                    .filter(|&(_, ov)| ov > 0)
+                    .collect();
+                prop_assert_eq!(&got, &want, "member {:?}", m);
+                prop_assert_eq!(got.values().sum::<u64>(), m.bytes);
+            }
+        }
+
+        /// The domains exactly cover the union with no overlap and are
+        /// stripe-conforming: mapped back to file bytes, each domain's run
+        /// is full, owned by its I/O node and contiguous in node-local
+        /// array space; runs are sorted and never touch (they would have
+        /// merged).
         #[test]
         fn domains_exactly_cover_and_conform(
             raw in vec((0u64..6_000, 0u64..1_500), 1..24),
@@ -262,40 +350,28 @@ mod tests {
         ) {
             let extents = to_extents(&raw);
             let l = StripeLayout::new(unit, io_nodes);
-            let u = union(&extents);
-            let doms = domains(&l, &u);
-            let union_edges: BTreeSet<u64> =
-                u.iter().flat_map(|e| [e.offset, e.end()]).collect();
-
+            let doms = partition_of(&l, &extents);
+            let map = local_map(&l, &union_of(&extents));
             let mut covered: BTreeSet<u64> = BTreeSet::new();
             for d in &doms {
-                let mut local = d.local_offset;
-                let mut run_bytes = 0;
-                for p in &d.pieces {
-                    prop_assert!(p.bytes > 0);
-                    // Within one stripe unit, owned by the domain's node.
-                    prop_assert_eq!(p.offset / unit, (p.end() - 1) / unit);
-                    prop_assert_eq!(l.io_node_of(p.offset), d.io_node);
-                    // Boundaries on the stripe grid or at union edges.
-                    prop_assert!(
-                        p.offset % unit == 0 || union_edges.contains(&p.offset),
-                        "piece start {} off-grid", p.offset
-                    );
-                    prop_assert!(
-                        p.end() % unit == 0 || union_edges.contains(&p.end()),
-                        "piece end {} off-grid", p.end()
-                    );
-                    // Contiguous in node-local array space.
-                    prop_assert_eq!(l.local_offset_of(p.offset), local);
-                    local += p.bytes;
-                    run_bytes += p.bytes;
-                    for b in p.offset..p.end() {
-                        prop_assert!(covered.insert(b), "byte {} covered twice", b);
-                    }
+                prop_assert!(d.bytes > 0);
+                // The file bytes mapping into the run, in local order.
+                let run = (d.io_node, d.local_offset)..(d.io_node, d.local_offset + d.bytes);
+                let bytes: Vec<u64> = map.range(run).map(|(_, &b)| b).collect();
+                prop_assert_eq!(bytes.len() as u64, d.bytes, "run {:?} not full", d);
+                for (k, &b) in bytes.iter().enumerate() {
+                    prop_assert_eq!(l.io_node_of(b), d.io_node);
+                    prop_assert_eq!(l.local_offset_of(b), d.local_offset + k as u64);
+                    prop_assert!(covered.insert(b), "byte {} covered twice", b);
                 }
-                prop_assert_eq!(run_bytes, d.bytes);
             }
-            prop_assert_eq!(covered, byte_set(&u));
+            for w in doms.windows(2) {
+                prop_assert!(
+                    (w[0].io_node, w[0].local_offset + w[0].bytes) < (w[1].io_node, w[1].local_offset),
+                    "not sorted, disjoint and maximal: {:?}", w
+                );
+            }
+            prop_assert_eq!(covered, map.into_values().collect::<BTreeSet<u64>>());
         }
 
         /// The partition is independent of extent-exchange arrival order:
@@ -309,7 +385,7 @@ mod tests {
         ) {
             let extents = to_extents(&raw);
             let l = StripeLayout::new(unit, io_nodes);
-            let baseline = partition(&l, &extents);
+            let baseline = partition_of(&l, &extents);
             // Deterministic pseudo-shuffle of the arrival order.
             let mut shuffled = extents.clone();
             let mut s = seed | 1;
@@ -317,7 +393,7 @@ mod tests {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 shuffled.swap(i, (s >> 33) as usize % (i + 1));
             }
-            prop_assert_eq!(partition(&l, &shuffled), baseline);
+            prop_assert_eq!(partition_of(&l, &shuffled), baseline);
         }
     }
 }
