@@ -1,15 +1,12 @@
 //! Trace capture.
 //!
-//! [`TraceSink`] is the capture-side buffer for the simulated file systems:
-//! the service owns it outright and records one [`IoEvent`] per call into a
-//! per-node append buffer — no lock, no shared handle. Each record is stamped
-//! with a global sequence number, and [`TraceSink::finish`] merges the
-//! per-node buffers back into exact capture order, so the frozen trace is
-//! byte-identical to what the old single-buffer capture produced.
+//! [`TraceSink`] is the one capture buffer: recording an [`IoEvent`] appends
+//! it to a single `Vec`, so record order is capture order. The simulated
+//! file systems own a sink outright, with no lock and no shared handle.
 //!
-//! [`Tracer`] is the legacy shared handle, kept for genuinely multi-threaded
-//! capture (the `std::fs` instrumentation shim): it is cheap to clone and
-//! every clone feeds one locked buffer.
+//! [`Tracer`] is a shared handle over a `TraceSink`, for capture from several
+//! threads (the `std::fs` instrumentation shim): it is cheap to clone and
+//! every clone records into the same locked sink.
 //!
 //! [`Trace`] is the frozen, analysis-side product: an ordered event list plus
 //! metadata. All reductions, tables, and figures are computed from a `Trace`.
@@ -120,18 +117,11 @@ impl Trace {
     }
 }
 
-/// Owned, lock-free capture buffer for single-threaded (simulated) runs.
-///
-/// Events append to a per-node lane; a global sequence number preserves the
-/// exact interleaving across lanes. The hot path is one `Vec::push` — no
-/// lock, no refcount — and the drain path moves the buffers out instead of
-/// cloning them.
+/// Owned, lock-free capture buffer: one append-only `Vec` of events.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     meta: TraceMeta,
-    /// Per-node append buffers of (global capture seq, event).
-    lanes: Vec<Vec<(u64, IoEvent)>>,
-    next_seq: u64,
+    events: Vec<IoEvent>,
 }
 
 impl TraceSink {
@@ -146,29 +136,24 @@ impl TraceSink {
         }
     }
 
-    /// Record one event into its node's lane.
+    /// Record one event.
     pub fn record(&mut self, event: IoEvent) {
-        let lane = event.node as usize;
-        if lane >= self.lanes.len() {
-            self.lanes.resize_with(lane + 1, Vec::new);
-        }
-        self.lanes[lane].push((self.next_seq, event));
-        self.next_seq += 1;
+        self.events.push(event);
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.next_seq as usize
+        self.events.len()
     }
 
     /// Whether nothing has been captured yet.
     pub fn is_empty(&self) -> bool {
-        self.next_seq == 0
+        self.events.is_empty()
     }
 
     /// Approximate in-memory size of the captured events, in bytes.
     pub fn buffered_bytes(&self) -> u64 {
-        self.next_seq * std::mem::size_of::<(u64, IoEvent)>() as u64
+        (self.events.len() * std::mem::size_of::<IoEvent>()) as u64
     }
 
     /// Set run-level metadata (node count, wall time).
@@ -177,64 +162,42 @@ impl TraceSink {
         self.meta.wall_ns = wall_ns;
     }
 
-    /// Freeze into an analyzable [`Trace`], merging the per-node lanes back
-    /// into capture order. Every sequence number in `0..next_seq` was issued
-    /// exactly once, so the merge is a linear scatter by sequence number —
-    /// deterministic regardless of how events spread across lanes.
-    pub fn finish(self) -> Trace {
-        let total = self.next_seq as usize;
-        let mut slots: Vec<Option<IoEvent>> = vec![None; total];
-        for lane in self.lanes {
-            for (seq, ev) in lane {
-                debug_assert!(slots[seq as usize].is_none(), "duplicate capture seq");
-                slots[seq as usize] = Some(ev);
-            }
-        }
-        let events = slots
-            .into_iter()
-            .map(|s| s.expect("capture seq gap"))
-            .collect();
+    /// Freeze into an analyzable [`Trace`], moving the buffer out.
+    pub fn finish(mut self) -> Trace {
+        // Drop the doubling slack: the frozen trace outlives the run, and
+        // the spare capacity (up to half the buffer) is live memory that
+        // would otherwise add to peak RSS.
+        self.events.shrink_to_fit();
         Trace {
             meta: self.meta,
-            events,
+            events: self.events,
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct TraceInner {
-    meta: TraceMeta,
-    events: Vec<IoEvent>,
-}
-
-/// Capture-side handle. Cheap to clone; all clones feed one trace.
+/// Shared capture handle over one [`TraceSink`]. Cheap to clone; all clones
+/// record into the same sink.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    inner: Arc<Mutex<TraceInner>>,
+    sink: Arc<Mutex<TraceSink>>,
 }
 
 impl Tracer {
     /// New, empty tracer.
     pub fn new(label: &str) -> Tracer {
         Tracer {
-            inner: Arc::new(Mutex::new(TraceInner {
-                meta: TraceMeta {
-                    label: label.to_string(),
-                    ..TraceMeta::default()
-                },
-                events: Vec::new(),
-            })),
+            sink: Arc::new(Mutex::new(TraceSink::new(label))),
         }
     }
 
     /// Record one event.
     pub fn record(&self, event: IoEvent) {
-        self.inner.lock().events.push(event);
+        self.sink.lock().record(event);
     }
 
     /// Number of events captured so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.sink.lock().len()
     }
 
     /// Whether nothing has been captured yet.
@@ -244,20 +207,14 @@ impl Tracer {
 
     /// Set run-level metadata (node count, wall time).
     pub fn set_run_info(&self, nodes: u32, wall_ns: Ns) {
-        let mut inner = self.inner.lock();
-        inner.meta.nodes = nodes;
-        inner.meta.wall_ns = wall_ns;
+        self.sink.lock().set_run_info(nodes, wall_ns);
     }
 
     /// Freeze into an analyzable [`Trace`]. Other clones of this tracer keep
-    /// working but feed a now-empty buffer; `finish` is intended to be called
+    /// working but feed a now-empty sink; `finish` is intended to be called
     /// once, after the run completes.
     pub fn finish(self) -> Trace {
-        let mut inner = self.inner.lock();
-        Trace {
-            meta: std::mem::take(&mut inner.meta),
-            events: std::mem::take(&mut inner.events),
-        }
+        std::mem::take(&mut *self.sink.lock()).finish()
     }
 }
 
@@ -284,9 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn sink_preserves_capture_order_across_lanes() {
+    fn sink_preserves_record_order() {
         // Interleave records from several nodes; the frozen trace must come
-        // back in exact capture order, not lane order.
+        // back in exact record order, not grouped by node.
         let mut s = TraceSink::new("s");
         let mut expect = Vec::new();
         for i in 0..20u64 {
@@ -299,7 +256,10 @@ mod tests {
         }
         s.set_run_info(5, 21);
         assert_eq!(s.len(), 20);
-        assert!(s.buffered_bytes() > 0);
+        assert_eq!(
+            s.buffered_bytes(),
+            20 * std::mem::size_of::<IoEvent>() as u64
+        );
         let trace = s.finish();
         assert_eq!(trace.meta().nodes, 5);
         assert_eq!(trace.events(), expect.as_slice());
@@ -341,6 +301,41 @@ mod tests {
         t.record(ev(IoOp::Read, 0, 1, 1));
         t2.record(ev(IoOp::Write, 1, 2, 1));
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn tracer_clones_capture_across_threads() {
+        // Four threads record through their own clones; the frozen trace
+        // holds every event, and each thread's events keep their order.
+        let t = Tracer::new("mt");
+        let handles: Vec<_> = (0..4u32)
+            .map(|node| {
+                let t = t.clone();
+                std::thread::spawn(move || {
+                    for i in 0..100u64 {
+                        t.record(
+                            IoEvent::new(node, 1, IoOp::Write)
+                                .span(i, i + 1)
+                                .extent(i, 1),
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let trace = t.finish();
+        assert_eq!(trace.len(), 400);
+        for node in 0..4u32 {
+            let offsets: Vec<u64> = trace
+                .events()
+                .iter()
+                .filter(|e| e.node == node)
+                .map(|e| e.offset)
+                .collect();
+            assert_eq!(offsets, (0..100).collect::<Vec<u64>>());
+        }
     }
 
     #[test]

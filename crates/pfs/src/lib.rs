@@ -20,9 +20,9 @@
 //!   buddy-failover lifecycle, and serves the metadata verbs, shared-file
 //!   seeks, `Sync` commits, timers and fault delivery.
 //!
-//! Every application-visible operation is recorded through a
-//! [`sio_core::Tracer`], producing the traces the analysis crate turns into
-//! the paper's tables and figures.
+//! Every application-visible operation is recorded by `FsCore`'s
+//! `TraceRecorder` into a [`sio_core::TraceSink`], producing the traces the
+//! analysis crate turns into the paper's tables and figures.
 
 pub use sio_fskit::{file, layout, mode};
 

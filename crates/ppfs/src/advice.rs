@@ -7,11 +7,13 @@
 //! the advice automatically from a classified access pattern — "to lessen
 //! the cognitive burden of access specification".
 
-use crate::policy::{Eviction, PolicyConfig, PrefetchPolicy};
+use crate::policy::{PolicyConfig, PrefetchPolicy};
 use serde::{Deserialize, Serialize};
 use sio_core::classify::AccessPattern;
 
-/// Per-file overrides of the global policy (unset fields inherit).
+/// Per-file overrides of the global policy (unset fields inherit). Cache
+/// size and eviction are not advisable: each node's block cache is shared
+/// by every file, so they always come from the global policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FileAdvice {
     /// Override the prefetch policy for this file.
@@ -20,11 +22,6 @@ pub struct FileAdvice {
     pub write_behind: Option<bool>,
     /// Override flush aggregation for this file.
     pub aggregation: Option<bool>,
-    /// Override the eviction policy for blocks of this file. (Applied at
-    /// stream granularity: the per-node caches are shared across files, so
-    /// this biases only the prefetcher's assumptions, not eviction of other
-    /// files' blocks.)
-    pub eviction: Option<Eviction>,
 }
 
 impl FileAdvice {
@@ -60,7 +57,6 @@ impl FileAdvice {
             prefetch: self.prefetch.unwrap_or(base.prefetch),
             write_behind: self.write_behind.unwrap_or(base.write_behind),
             aggregation: self.aggregation.unwrap_or(base.aggregation),
-            eviction: self.eviction.unwrap_or(base.eviction),
             ..*base
         }
     }
@@ -77,8 +73,6 @@ pub fn advise_for_pattern(pattern: AccessPattern, write_heavy: bool) -> FileAdvi
         },
         AccessPattern::Cyclic { .. } => FileAdvice {
             prefetch: Some(PrefetchPolicy::Readahead { depth: 4 }),
-            // Cyclic scans larger than the cache want MRU retention.
-            eviction: Some(Eviction::Mru),
             ..FileAdvice::default()
         },
         AccessPattern::Random => FileAdvice::random(),
@@ -123,15 +117,15 @@ mod tests {
     #[test]
     fn pattern_advice_matches_policy_matrix_findings() {
         use AccessPattern::*;
-        // Sequential: prefetch on. Random: everything off. Cyclic: MRU.
+        // Sequential: prefetch on. Random: everything off. Cyclic: readahead.
         assert!(advise_for_pattern(Sequential, false).prefetch.is_some());
         assert_eq!(
             advise_for_pattern(Random, false).prefetch,
             Some(PrefetchPolicy::None)
         );
         assert_eq!(
-            advise_for_pattern(Cyclic { period: 100 }, false).eviction,
-            Some(Eviction::Mru)
+            advise_for_pattern(Cyclic { period: 100 }, false).prefetch,
+            Some(PrefetchPolicy::Readahead { depth: 4 })
         );
         // Write-heavy ESCAT staging: write-behind + aggregation regardless
         // of read pattern.
